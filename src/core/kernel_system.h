@@ -54,7 +54,9 @@ class KernelizedSystem : public SharedSystem {
   const SeparationKernel& kernel() const { return *kernel_; }
 
   // Runs whole machine steps (CPU phase + all devices) until all regimes
-  // halt or `max_steps` is reached; returns steps taken.
+  // halt or `max_steps` is reached; returns steps taken. Machine::Run: the
+  // kernel acts only at kernel entry, so guest code runs in threaded
+  // batches between entries, step-for-step identical to Step().
   std::size_t Run(std::size_t max_steps);
 
  private:

@@ -53,6 +53,25 @@ class Device {
   // One device activity slot. Called by the machine between CPU steps.
   virtual void Step() = 0;
 
+  // --- batched stepping (Machine::Run) ---
+  //
+  // Quiet horizon: a count q such that the next q Step() calls cannot raise
+  // the interrupt line, provided no register is accessed in between
+  // (kQuietForever when only a register access could). It must be
+  // conservative; the default 0 makes the machine give this device one
+  // activity slot at a time, the right choice for decorators and for any
+  // device whose future is not a function of its state (FaultyDevice).
+  static constexpr std::uint64_t kQuietForever = ~std::uint64_t{0};
+  virtual std::uint64_t QuietHorizon() const { return 0; }
+
+  // Exactly equivalent to `n` Step() calls, interrupt line included.
+  // Devices that override QuietHorizon implement it in closed form.
+  virtual void Advance(std::uint64_t n) {
+    for (; n > 0; --n) {
+      Step();
+    }
+  }
+
   // Serialization of the complete internal state, queues included. The
   // encoding only needs to be injective per device type.
   virtual std::vector<Word> SnapshotState() const = 0;

@@ -2,6 +2,16 @@
 
 namespace sep {
 
+namespace {
+
+// The Step() on which a `--countdown <= 0` test fires: a countdown already
+// at or below zero fires on the very next slot.
+std::uint64_t FiringStep(int countdown) {
+  return countdown > 0 ? static_cast<std::uint64_t>(countdown) : 1;
+}
+
+}  // namespace
+
 // --- SerialLine ---
 
 SerialLine::SerialLine(std::string name, int vector, int priority, int transmit_delay)
@@ -93,6 +103,45 @@ void SerialLine::Step() {
   }
 }
 
+std::uint64_t SerialLine::QuietHorizon() const {
+  if ((rcsr_ & kCsrIe) && !(rcsr_ & kCsrDone) && !rx_from_env_.empty()) {
+    return 0;  // latches on the next slot
+  }
+  if ((xcsr_ & kCsrIe) && !(xcsr_ & kCsrDone)) {
+    return FiringStep(tx_countdown_) - 1;
+  }
+  return kQuietForever;
+}
+
+void SerialLine::Advance(std::uint64_t n) {
+  if (n == 0) {
+    return;
+  }
+  // The receive side acts on the first slot or not at all: once it latches,
+  // DONE stays set until the CPU reads RBUF.
+  if (!(rcsr_ & kCsrDone) && !rx_from_env_.empty()) {
+    rbuf_ = rx_from_env_.front();
+    rx_from_env_.pop_front();
+    rcsr_ |= kCsrDone;
+    if (rcsr_ & kCsrIe) {
+      RaiseInterrupt();
+    }
+  }
+  if (!(xcsr_ & kCsrDone)) {
+    const std::uint64_t fire = FiringStep(tx_countdown_);
+    if (n < fire) {
+      tx_countdown_ -= static_cast<int>(n);
+      return;
+    }
+    tx_countdown_ -= static_cast<int>(fire);
+    tx_to_env_.push_back(xbuf_);
+    xcsr_ |= kCsrDone;
+    if (xcsr_ & kCsrIe) {
+      RaiseInterrupt();
+    }
+  }
+}
+
 std::vector<Word> SerialLine::SnapshotState() const {
   std::vector<Word> out = {rcsr_, rbuf_, xcsr_, xbuf_, static_cast<Word>(tx_countdown_),
                            static_cast<Word>(interrupt_pending())};
@@ -145,6 +194,26 @@ void LineClock::Step() {
     if (lks_ & kCsrIe) {
       RaiseInterrupt();
     }
+  }
+}
+
+std::uint64_t LineClock::QuietHorizon() const {
+  return (lks_ & kCsrIe) ? FiringStep(countdown_) - 1 : kQuietForever;
+}
+
+void LineClock::Advance(std::uint64_t n) {
+  const std::uint64_t fire = FiringStep(countdown_);
+  if (n < fire) {
+    countdown_ -= static_cast<int>(n);
+    return;
+  }
+  // Every later tick reloads `interval_` and fires again one period on;
+  // the slots after the last one count the reloaded value down.
+  const std::uint64_t period = FiringStep(interval_);
+  countdown_ = interval_ - static_cast<int>((n - fire) % period);
+  lks_ |= kCsrDone;
+  if (lks_ & kCsrIe) {
+    RaiseInterrupt();
   }
 }
 
@@ -213,6 +282,27 @@ void LinePrinter::Step() {
         RaiseInterrupt();
       }
     }
+  }
+}
+
+std::uint64_t LinePrinter::QuietHorizon() const {
+  return (lps_ & kCsrIe) && !(lps_ & kCsrDone) ? FiringStep(countdown_) - 1 : kQuietForever;
+}
+
+void LinePrinter::Advance(std::uint64_t n) {
+  if (n == 0 || (lps_ & kCsrDone)) {
+    return;
+  }
+  const std::uint64_t fire = FiringStep(countdown_);
+  if (n < fire) {
+    countdown_ -= static_cast<int>(n);
+    return;
+  }
+  countdown_ -= static_cast<int>(fire);
+  tx_to_env_.push_back(pending_char_);
+  lps_ |= kCsrDone;
+  if (lps_ & kCsrIe) {
+    RaiseInterrupt();
   }
 }
 
@@ -307,6 +397,28 @@ void CryptoUnit::Step() {
         RaiseInterrupt();
       }
     }
+  }
+}
+
+std::uint64_t CryptoUnit::QuietHorizon() const {
+  return busy_ && (ccsr_ & kCsrIe) ? FiringStep(countdown_) - 1 : kQuietForever;
+}
+
+void CryptoUnit::Advance(std::uint64_t n) {
+  if (n == 0 || !busy_) {
+    return;
+  }
+  const std::uint64_t fire = FiringStep(countdown_);
+  if (n < fire) {
+    countdown_ -= static_cast<int>(n);
+    return;
+  }
+  countdown_ -= static_cast<int>(fire);
+  data_out_ = static_cast<Word>(pending_in_ ^ Keystream(key_, op_count_++));
+  busy_ = false;
+  ccsr_ |= kCsrDone;
+  if (ccsr_ & kCsrIe) {
+    RaiseInterrupt();
   }
 }
 

@@ -12,7 +12,14 @@ namespace sep {
 // and inlines every access on the hot path.
 class MachineBus final : public Bus {
  public:
-  explicit MachineBus(Machine& m) : m_(m) {}
+  // With `refuse_devices` set (a kernel-entry batch of RunThreaded), a
+  // device-register access fails like a bus timeout before touching the
+  // device and is recorded; instructions abort without side effects on a
+  // failed access, so the caller can re-run the refused one as a Step().
+  explicit MachineBus(Machine& m, bool refuse_devices = false)
+      : m_(m), refuse_devices_(refuse_devices) {}
+
+  bool refused_device_access() const { return refused_device_access_; }
 
   bool Read(VirtAddr addr, AccessKind kind, Word* out) override {
     auto tr = m_.mmu_.Translate(m_.cpu_.psw.mode(), addr, kind);
@@ -40,6 +47,10 @@ class MachineBus final : public Bus {
           reg >= m_.devices_[slot]->register_count()) {
         return false;  // bus timeout: nonexistent device register
       }
+      if (refuse_devices_) {
+        refused_device_access_ = true;
+        return false;
+      }
       if (write) {
         m_.devices_[slot]->WriteRegister(reg, value);
       } else {
@@ -59,6 +70,8 @@ class MachineBus final : public Bus {
   }
 
   Machine& m_;
+  bool refuse_devices_;
+  bool refused_device_access_ = false;
 };
 
 namespace {
@@ -210,11 +223,11 @@ std::uint8_t ClassifyForm(const DecodedInsn& insn) {
 
 Machine::Machine(const MachineConfig& config) : config_(config), memory_(config.memory_words) {
   SEP_CHECK(config.io_base >= config.memory_words);
-  // The superblock counters only bump inside batched Run of device-free
-  // machines; register them eagerly (registration is independent of the
-  // obs enable flag) so the metrics inventory is the same in every
-  // deployment — a kernelized sep_trace dump reports them as 0 rather
-  // than omitting them.
+  // The superblock counters only bump inside Run's threaded batches, which
+  // a machine driven by Step() alone (the checkers) never enters; register
+  // them eagerly (registration is independent of the obs enable flag) so
+  // the metrics inventory is the same in every deployment — such a dump
+  // reports them as 0 rather than omitting them.
   obs::Metrics().GetCounter("machine.superblock_builds");
   obs::Metrics().GetCounter("machine.superblock_side_exits");
   obs::Metrics().GetCounter("machine.superblock_invalidations");
@@ -329,23 +342,30 @@ void Machine::DispatchTrap(const TrapInfo& info) {
 
 StepEvent Machine::Step() {
   StepEvent event = StepCpuPhase();
+  FinishStep();
+  return event;
+}
+
+void Machine::FinishStep() {
   for (int i = 0; i < static_cast<int>(devices_.size()); ++i) {
     StepDevicePhase(i);
   }
   ++tick_;
-  return event;
 }
 
 StepEvent Machine::StepCpuPhase() {
-  StepEvent event;
-
   // Deferred client work takes precedence over everything else; it belongs
   // to the current context and must complete before the next instruction.
   if (client_ != nullptr && !halted_ && client_->OnBeforeExecute()) {
+    StepEvent event;
     event.kind = StepEvent::Kind::kKernelWork;
     return event;
   }
+  return DeliverOrExecute();
+}
 
+StepEvent Machine::DeliverOrExecute() {
+  StepEvent event;
   // Interrupt delivery or instruction execution.
   const int irq = PendingInterrupt();
   if (irq >= 0) {
@@ -792,8 +812,13 @@ std::optional<Word> Machine::PeekVirt(VirtAddr addr) const {
 // critical path never round-trips through memory; `st` is the same
 // never-escaping local register copy the non-threaded batched loop uses,
 // synced with cpu_ around every out-of-line slow path.
-std::size_t Machine::RunThreaded(std::size_t max_steps) {
-  MachineBus bus(*this);
+//
+// Ticks: `steps` is folded into tick_ only on exit, so every slow path that
+// can emit a trace event first sets tick_ to the tick of the step it acts
+// in — tick0 + the steps completed before it — as Step() would.
+std::size_t Machine::RunThreaded(std::size_t max_steps, BatchStop* stop) {
+  MachineBus bus(*this, /*refuse_devices=*/stop != nullptr);
+  const Tick tick0 = tick_;
   CpuState st = cpu_;
   Word pc = st.pc();
   Psw psw = st.psw;
@@ -812,9 +837,11 @@ std::size_t Machine::RunThreaded(std::size_t max_steps) {
   std::size_t cur_block_index = static_cast<std::size_t>(-1);
   // Current virtual code page, resolved through the MMU once and then
   // revalidated with a register compare. Sound because nothing inside this
-  // loop can remap the MMU (no client, no devices, page registers are not
-  // guest-addressable) and direct handlers never flip the mode bit; every
-  // slow path that could (traps, RTI) goes through SEP_SYNC_IN, which drops
+  // loop can remap the MMU (the client only runs at a CPU event, which ends
+  // a kernel-entry batch before the client sees it; device registers are
+  // refused in a batch; page registers are not guest-addressable) and
+  // direct handlers never flip the mode bit; every slow path that could
+  // (traps and RTI without a client) goes through SEP_SYNC_IN, which drops
   // the cached mapping. Self-modifying code is still caught per step by the
   // page-version compare below — this caches the *mapping*, not the bytes.
   std::uint32_t cur_vpage = ~0u;
@@ -926,6 +953,7 @@ std::size_t Machine::RunThreaded(std::size_t max_steps) {
 #define SEP_EDGE_HOOK()                                                                \
   if (superblock_enabled_ && entry->sb == nullptr) {                                   \
     if (++entry->heat == kSuperblockHeatThreshold) [[unlikely]] {                      \
+      tick_ = tick0 + steps - 1;                                                       \
       BuildSuperblockAt(pc, psw.mode(), *entry);                                       \
     }                                                                                  \
   }
@@ -1005,13 +1033,14 @@ std::size_t Machine::RunThreaded(std::size_t max_steps) {
   // instruction itself is already validated and counted. The guards hoist
   // what the per-step dispatch would otherwise re-derive for every stitched
   // instruction: the PSW mode and page mappings cannot change inside the
-  // trace (no client, no devices, page registers are not guest-addressable,
-  // and only generic-form instructions — never stitched — can flip the
-  // mode), and the version guards pin every covered 64-word page, rechecked
-  // after each instruction that can store (sb_cur->may_write) so
-  // self-modifying code stops the trace before the next stale instruction
-  // executes. Loop-closing traces (next_index >= 0) therefore iterate
-  // entirely inside the trace with no re-entry guard at all.
+  // trace (neither the client nor a device register is reached from it,
+  // page registers are not guest-addressable, and only generic-form
+  // instructions — never stitched — can flip the mode), and the version
+  // guards pin every covered 64-word page, rechecked after each
+  // instruction that can store (sb_cur->may_write) so self-modifying code
+  // stops the trace before the next stale instruction executes.
+  // Loop-closing traces (next_index >= 0) therefore iterate entirely
+  // inside the trace with no re-entry guard at all.
   //
   // The step budget is hoisted too: entry admits the trace only when a full
   // straight-line pass fits (steps + sb_len <= max_steps, after the anchor
@@ -1184,6 +1213,7 @@ run_sb_stale:
   // An entry guard failed: a covered page was remapped or rewritten. Tear
   // the superblock down and run the anchor instruction the ordinary way
   // (its own decode was validated by the dispatch that got us here).
+  tick_ = tick0 + steps - 1;
   InvalidateSuperblock(entry->sb);
   if (entry->handler == nullptr) entry->handler = kForms[entry->form];
   goto* entry->handler;
@@ -1195,6 +1225,7 @@ run_sb_write_check:
   // the per-step path (whose version compare also runs at the next fetch).
   for (const Superblock::VersionGuard& g : cur_sb->version_guards) {
     if (page_versions[g.index] != g.version) [[unlikely]] {
+      tick_ = tick0 + steps - 1;
       InvalidateSuperblock(cur_sb);
       SEP_SB_FLUSH();
       SEP_DISPATCH();
@@ -1237,6 +1268,7 @@ run_generic:
 
 run_miss:
   SEP_SYNC_OUT();
+  tick_ = tick0 + steps;
   event = ExecuteCpuMiss(bus, *entry, phys, offset, limit);
   SEP_SYNC_IN();
   ++steps;
@@ -1246,10 +1278,21 @@ run_miss:
 run_apply_event:
   // The step that produced `event` is already counted. A faulting stitched
   // instruction arrives here still in superblock mode; settle the hit
-  // accounting before the ordinary path resumes. ApplyCpuEvent works on
-  // cpu_ (trap dispatch rewrites PC/PSW/stack), so sync around it.
+  // accounting before the ordinary path resumes.
   if (cur_sb != nullptr) [[unlikely]] SEP_SB_FLUSH();
+  if (stop != nullptr) {
+    // Kernel entry ends the batch: hand the step back to Run, which applies
+    // the event (or re-runs a refused device access) with the devices
+    // caught up.
+    --steps;
+    stop->event = event;
+    stop->device_access = bus.refused_device_access();
+    goto run_done;
+  }
+  // ApplyCpuEvent works on cpu_ (trap dispatch rewrites PC/PSW/stack), so
+  // sync around it.
   SEP_SYNC_OUT();
+  tick_ = tick0 + steps - 1;
   (void)ApplyCpuEvent(event);
   SEP_SYNC_IN();
   SEP_DISPATCH();
@@ -1266,7 +1309,7 @@ run_idle:
       side_exits.Add(sb_exits);
     }
   }
-  tick_ += max_steps;
+  tick_ = tick0 + max_steps;
   return max_steps;
 
 run_done:
@@ -1280,7 +1323,7 @@ run_done:
       side_exits.Add(sb_exits);
     }
   }
-  tick_ += steps;
+  tick_ = tick0 + steps;
   return steps;
 
 #undef SEP_SB_FLUSH
@@ -1300,7 +1343,9 @@ std::size_t Machine::Run(std::size_t max_steps) {
   // exactly one instruction phase plus the tick — step-for-step identical
   // to the generic loop below. With the predecode cache on, the
   // direct-threaded loop runs; with it off, the bus and event plumbing are
-  // still hoisted out of the loop and ExecuteCpuT inlines here.
+  // still hoisted out of the loop and ExecuteCpuT inlines here. With a
+  // client or devices, the threaded loop runs between kernel entries
+  // (RunBatched); with the cache off, the reference Step() loop runs.
   if (client_ == nullptr && devices_.empty()) {
     if (predecode_enabled_) {
       return RunThreaded(max_steps);
@@ -1331,9 +1376,81 @@ std::size_t Machine::Run(std::size_t max_steps) {
     return steps;
   }
 
+  if (predecode_enabled_) {
+    return RunBatched(max_steps);
+  }
   while (steps < max_steps && !halted_) {
     Step();
     ++steps;
+  }
+  return steps;
+}
+
+std::size_t Machine::BatchLength(std::size_t budget) const {
+  std::size_t n = budget;
+  for (const auto& dev : devices_) {
+    if (dev->interrupt_pending()) {
+      return 0;  // deliverable now, or masked until the PSW priority drops
+    }
+    const std::uint64_t quiet = dev->QuietHorizon();
+    if (quiet < n - 1) {
+      n = static_cast<std::size_t>(quiet) + 1;
+    }
+  }
+  // A one-step batch is an ordinary step with extra bookkeeping.
+  return n >= 2 ? n : 0;
+}
+
+// The kernel-entry batching behind Run() (see the contract in machine.h).
+// Each iteration is one of: a step of deferred client work; an ordinary
+// Step(); a run of idle steps; or a threaded batch followed by the event
+// that ended it. Devices are always caught up in closed form before
+// anything can observe them: the client (at an event), a register access
+// (as an ordinary step), or the caller (on return).
+std::size_t Machine::RunBatched(std::size_t max_steps) {
+  const auto advance_devices = [this](std::size_t n) {
+    for (const auto& dev : devices_) {
+      dev->Advance(n);
+    }
+  };
+  std::size_t steps = 0;
+  while (steps < max_steps && !halted_) {
+    if (client_ != nullptr && client_->OnBeforeExecute()) {
+      FinishStep();
+      ++steps;
+      continue;
+    }
+    // The client has no deferred work, and by its contract gains none
+    // before its next OnTrap/OnInterrupt, both of which end a batch.
+    const std::size_t n = BatchLength(max_steps - steps);
+    if (n == 0) {
+      DeliverOrExecute();
+      FinishStep();
+      ++steps;
+      continue;
+    }
+    if (waiting_) {
+      // Idle steps change nothing but the devices until a line rises.
+      advance_devices(n);
+      tick_ += n;
+      steps += n;
+      continue;
+    }
+    BatchStop stop;
+    const std::size_t done = RunThreaded(n, &stop);
+    advance_devices(done);
+    steps += done;
+    if (stop.device_access) {
+      // The refused instruction runs as an ordinary step. Its client check
+      // is skipped: there was no kernel entry since the one above.
+      DeliverOrExecute();
+      FinishStep();
+      ++steps;
+    } else if (stop.event.kind != CpuEventKind::kOk) {
+      (void)ApplyCpuEvent(stop.event);
+      FinishStep();
+      ++steps;
+    }
   }
   return steps;
 }

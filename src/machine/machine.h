@@ -75,6 +75,12 @@ class MachineClient {
   // phase then ends without executing an instruction. This keeps every
   // kernel action attributable to the regime on whose behalf it runs — the
   // property the Proof-of-Separability colouring relies on.
+  //
+  // Contract: once it has returned false, OnBeforeExecute keeps returning
+  // false until the client's own OnTrap or OnInterrupt runs (kernel entry).
+  // Machine::Run relies on this to ask once per batch of instructions
+  // rather than once per step; a client whose deferred work could appear
+  // any other way must not be driven through Run.
   virtual bool OnBeforeExecute() { return false; }
 };
 
@@ -159,11 +165,23 @@ class Machine {
   // interrupt is performed on behalf of the interrupting device's owner.
   int PendingInterrupt() const;
 
-  // Runs until halted or `max_steps` exhausted; returns steps taken. For
-  // machines with no client and no devices the loop is batched: per-step
-  // dispatch overhead (interrupt polling, device phases, event plumbing) is
-  // hoisted out of the inner loop while remaining step-for-step identical to
-  // repeated Step().
+  // Runs until halted or `max_steps` exhausted; returns steps taken.
+  // Step-for-step identical to repeated Step() — state, tick and every
+  // trace event — but batched: with the predecode cache on, instructions
+  // run through the threaded/superblock loop from one kernel entry to the
+  // next. A batch starts once the client has no deferred work and every
+  // device interrupt line is low, and it ends
+  //   * after any non-OK CPU event (trap, fault, HALT, WAIT), which is
+  //     applied with the devices caught up to it — the client may remap
+  //     the MMU or queue deferred work there;
+  //   * before any device-register access, which then runs as an ordinary
+  //     Step() with the devices caught up;
+  //   * when a device's quiet horizon (Device::QuietHorizon) runs out, so
+  //     the next interrupt is delivered on the step Step() would deliver it.
+  // Devices skip the steps in between in closed form (Device::Advance), and
+  // an idle CPU skips to the next horizon. A device keeping the default
+  // horizon of 0 (a decorator, FaultyDevice) makes every step an ordinary
+  // Step(). With no client and no devices the batch is the whole run.
   std::size_t Run(std::size_t max_steps);
 
   // --- predecoded-instruction cache ---
@@ -310,6 +328,23 @@ class Machine {
   void HardwareVector(PhysAddr vector);
   void DispatchTrap(const TrapInfo& info);
 
+  // StepCpuPhase after the client's deferred-work check: interrupt
+  // delivery, idle, or one instruction.
+  StepEvent DeliverOrExecute();
+
+  // The tail of Step(): one activity slot for every device, then the tick.
+  void FinishStep();
+
+  // Run() for machines with a client or devices: alternates ordinary steps
+  // with threaded batches between kernel entries (see Run).
+  std::size_t RunBatched(std::size_t max_steps);
+
+  // Length of the next batch given `budget` steps left: the largest n such
+  // that no interrupt line can be up at the CPU phase of any of the n steps
+  // (every line low now, and n - 1 slots within every device's quiet
+  // horizon). Returns 0 when the next step must be an ordinary one.
+  std::size_t BatchLength(std::size_t budget) const;
+
   // The instruction-execution half of StepCpuPhase (no client work, no
   // interrupt was deliverable, not idle). Shared by StepCpuPhase and the
   // batched Run loop.
@@ -342,11 +377,29 @@ class Machine {
   CpuEvent ExecuteCpuMiss(MachineBus& bus, PredecodedInsn& entry, PhysAddr phys,
                           std::uint32_t offset, std::uint32_t limit);
 
-  // The direct-threaded batched loop behind Run() when no client, no devices
-  // and the predecode cache are in play: every predecoded opcode dispatches
-  // to its own handler (own indirect-branch site) and PC/PSW live in locals
-  // across steps. Step-for-step identical to repeated Step().
-  std::size_t RunThreaded(std::size_t max_steps);
+  // Why a kernel-entry batch of RunThreaded stopped short of its budget.
+  struct BatchStop {
+    // A non-OK CPU event of the step after the last one counted: the
+    // instruction executed, the event is not yet applied. kOk otherwise.
+    CpuEvent event{};
+    // The step after the last one counted tried to touch a device
+    // register. The access was refused before any side effect, so the
+    // instruction did not execute at all; `event` is meaningless.
+    bool device_access = false;
+  };
+
+  // The direct-threaded loop behind Run() with the predecode cache on: every
+  // predecoded opcode dispatches to its own handler (own indirect-branch
+  // site) and PC/PSW live in locals across steps. Executes CPU phases only —
+  // no client work, no interrupt polling, no device slots — so it is
+  // step-for-step identical to repeated Step() exactly when none of those
+  // could act. With `stop` null (no client, no devices) it applies CPU
+  // events inline and runs the whole budget. With `stop` set it runs one
+  // kernel-entry batch: it returns at the first non-OK event or refused
+  // device access, reporting it in *stop, and counts (and ticks) only the
+  // steps before it. Every trace event it emits carries the tick Step()
+  // would give it.
+  std::size_t RunThreaded(std::size_t max_steps, BatchStop* stop = nullptr);
 
   // Statically walks the predicted path from `entry_pc` (a hot taken-branch
   // target) through the live mapping and memory, and installs a superblock

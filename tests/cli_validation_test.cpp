@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace sep {
@@ -49,6 +50,93 @@ TEST(CliValidation, Sm11RunValidatesSuperblockFlag) {
   // Valid values reach the file loader (exit 1: prog.s does not exist).
   EXPECT_EQ(RunTool(Tool("sm11run") + " --superblock on prog.s"), 1);
   EXPECT_EQ(RunTool(Tool("sm11run") + " --superblock off prog.s"), 1);
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// One sm11run invocation with stdin closed; stdout, stderr (which carries
+// the step count) and the metrics dump are kept for comparison.
+struct Sm11RunOutput {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+  std::string metrics;
+};
+
+Sm11RunOutput RunSm11(const std::string& flags, const std::string& program) {
+  const std::string dir = ::testing::TempDir();
+  const std::string out = dir + "/sm11run.out";
+  const std::string err = dir + "/sm11run.err";
+  const std::string metrics = dir + "/sm11run.metrics";
+  const std::string cmd = Tool("sm11run") + " " + flags + " --metrics " + metrics + " " +
+                          program + " </dev/null >" + out + " 2>" + err;
+  Sm11RunOutput result;
+  const int status = std::system(cmd.c_str());
+  if (status != -1 && WIFEXITED(status)) {
+    result.exit_code = WEXITSTATUS(status);
+  }
+  result.out = ReadAll(out);
+  result.err = ReadAll(err);
+  result.metrics = ReadAll(metrics);
+  return result;
+}
+
+std::string WriteProgram(const std::string& name, const std::string& source) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << source;
+  return path;
+}
+
+// A hot loop that prints one character per outer pass on the serial line
+// (registers at 0xE000 in both modes), so superblocks form and the device
+// is polled between them.
+std::string PrinterLoop(const char* finish) {
+  return std::string(R"(
+        .EQU XCSR, 0xE002
+        .EQU XBUF, 0xE003
+START:  CLR R3
+OUTER:  CLR R1
+        MOV #300, R2
+LOOP:   ADD R2, R1
+        XOR R3, R1
+        DEC R2
+        BNE LOOP
+        BIC #0xFFF0, R1
+        ADD #65, R1
+W:      BIT #0x80, @XCSR
+        BEQ W
+        MOV R1, @XBUF
+        INC R3
+        CMP #24, R3
+        BNE OUTER
+WD:     BIT #0x80, @XCSR
+        BEQ WD
+)") + finish + "\n";
+}
+
+TEST(CliValidation, Sm11RunSuperblockFlagChangesNothingButTheEngine) {
+  const std::string bare = WriteProgram("bare_loop.s", PrinterLoop("        HALT"));
+  const std::string regime = WriteProgram("regime_loop.s", PrinterLoop("        TRAP 7"));
+  for (const std::string& mode : {std::string(""), std::string("--regime ")}) {
+    SCOPED_TRACE(mode.empty() ? "bare" : "regime");
+    const std::string& program = mode.empty() ? bare : regime;
+    const Sm11RunOutput on = RunSm11(mode + "--superblock on", program);
+    const Sm11RunOutput off = RunSm11(mode + "--superblock off", program);
+    EXPECT_EQ(on.exit_code, 0) << on.err;
+    EXPECT_EQ(off.exit_code, 0) << off.err;
+    EXPECT_EQ(on.out.size(), 24u);
+    EXPECT_EQ(on.out, off.out);
+    EXPECT_EQ(on.err, off.err);  // "[N steps, halted ...]"
+    EXPECT_NE(on.err.find(" steps, halted"), std::string::npos) << on.err;
+    // The flag reaches the engine: traces are built only with it on.
+    EXPECT_EQ(off.metrics.find("machine.superblock_builds 0\n") != std::string::npos, true)
+        << off.metrics;
+    EXPECT_EQ(on.metrics.find("machine.superblock_builds 0\n"), std::string::npos)
+        << on.metrics;
+  }
 }
 
 TEST(CliValidation, SepcheckRejectsBadNumbers) {

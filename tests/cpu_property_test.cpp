@@ -13,7 +13,14 @@ namespace sep {
 namespace {
 
 struct AluCase {
+  AluCase(Opcode op, const char* name) : op(op), name(name) {}
+
   Opcode op;
+  // gtest prints a parameter without a PrintTo overload as its raw bytes,
+  // and that dump becomes part of the registered test name. Spelling the
+  // padding after `op` out as a zeroed member keeps uninitialised stack
+  // bytes out of the name, so each case has the same name in every process.
+  std::uint8_t padding[7] = {};
   const char* name;
 };
 

@@ -9,6 +9,8 @@
 //   sm11run --disasm prog.s       disassemble each instruction as it runs
 //   sm11run --trace FILE prog.s   write a Chrome trace-event JSON of the run
 //   sm11run --metrics FILE prog.s write the flat metrics dump of the run
+//   sm11run --superblock off prog.s  run without superblock traces (the
+//                                  output is identical either way)
 //
 // The program's serial line (if it uses one) is the process's stdin/stdout:
 // input bytes are injected into the device before the run; transmitted
@@ -93,22 +95,28 @@ int RunBare(const sep::AssembledProgram& program, const Options& options) {
     }
   }
 
+  // --disasm needs a look at every instruction, so it steps; otherwise the
+  // batched Run (identical results, and where --superblock applies).
   std::size_t executed = 0;
-  while (executed < options.steps && !machine.halted()) {
-    if (options.disasm && !machine.waiting()) {
-      const Word pc = machine.cpu().pc();
-      std::optional<Word> w0 = machine.PeekVirt(pc);
-      if (w0.has_value()) {
-        if (std::optional<DecodedInsn> insn = Decode(*w0)) {
-          const Word e1 = machine.PeekVirt(pc + 1).value_or(0);
-          const Word e2 = machine.PeekVirt(pc + 2).value_or(0);
-          std::fprintf(stderr, "%s: %s\n", Octal(pc).c_str(),
-                       Disassemble(*insn, e1, e2).c_str());
+  if (!options.disasm) {
+    executed = machine.Run(options.steps);
+  } else {
+    while (executed < options.steps && !machine.halted()) {
+      if (!machine.waiting()) {
+        const Word pc = machine.cpu().pc();
+        std::optional<Word> w0 = machine.PeekVirt(pc);
+        if (w0.has_value()) {
+          if (std::optional<DecodedInsn> insn = Decode(*w0)) {
+            const Word e1 = machine.PeekVirt(pc + 1).value_or(0);
+            const Word e2 = machine.PeekVirt(pc + 2).value_or(0);
+            std::fprintf(stderr, "%s: %s\n", Octal(pc).c_str(),
+                         Disassemble(*insn, e1, e2).c_str());
+          }
         }
       }
+      machine.Step();
+      ++executed;
     }
-    machine.Step();
-    ++executed;
   }
 
   std::vector<Word> out = machine.device(slu).DrainOutput();
