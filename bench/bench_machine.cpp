@@ -49,9 +49,9 @@ void BM_InstructionThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_InstructionThroughput);
 
-// The same batched loop with the predecoded-instruction cache disabled:
-// every step re-translates, re-fetches and re-decodes through the generic
-// interpreter. Same API as above so the ratio isolates the cache.
+// The same Run call with the predecoded-instruction cache disabled, which
+// makes Run the reference Step() loop: every step re-translates, re-fetches
+// and re-decodes through the generic interpreter.
 void BM_InstructionThroughputNoCache(benchmark::State& state) {
   auto machine = BareMachine();
   machine->set_predecode_enabled(false);

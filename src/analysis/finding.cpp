@@ -1,5 +1,6 @@
 #include "src/analysis/finding.h"
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace sep {
@@ -15,31 +16,6 @@ const char* SeverityName(FindingSeverity severity) {
       return "info";
   }
   return "unknown";
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -81,24 +57,22 @@ std::string Finding::ToString() const {
 
 std::string Finding::ToJson() const {
   std::string out = "{";
-  out += Format("\"tool\":\"%s\"", JsonEscape(tool).c_str());
-  out += Format(",\"unit\":\"%s\"", JsonEscape(unit).c_str());
-  out += Format(",\"kind\":\"%s\"", JsonEscape(kind).c_str());
-  out += Format(",\"severity\":\"%s\"", SeverityName(severity));
-  if (!condition.empty()) {
-    out += Format(",\"condition\":\"%s\"", JsonEscape(condition).c_str());
-  }
+  // Appends "key":"value", comma-separated from any field before it.
+  const auto field = [&out](const char* key, std::string_view value) {
+    out.append(out.size() > 1 ? ",\"" : "\"").append(key).append("\":\"");
+    AppendJsonEscaped(out, value);
+    out += '"';
+  };
+  field("tool", tool);
+  field("unit", unit);
+  field("kind", kind);
+  field("severity", SeverityName(severity));
+  if (!condition.empty()) field("condition", condition);
   if (line >= 0) out += Format(",\"line\":%d", line);
   if (address >= 0) out += Format(",\"address\":%d", address);
-  if (!instruction.empty()) {
-    out += Format(",\"instruction\":\"%s\"", JsonEscape(instruction).c_str());
-  }
-  if (!region.empty()) {
-    out += Format(",\"region\":\"%s\"", JsonEscape(region).c_str());
-  }
-  if (!message.empty()) {
-    out += Format(",\"message\":\"%s\"", JsonEscape(message).c_str());
-  }
+  if (!instruction.empty()) field("instruction", instruction);
+  if (!region.empty()) field("region", region);
+  if (!message.empty()) field("message", message);
   if (!witness.empty()) {
     out += ",\"witness\":[";
     for (std::size_t i = 0; i < witness.size(); ++i) {
@@ -107,9 +81,7 @@ std::string Finding::ToJson() const {
     }
     out += "]";
   }
-  if (!discharge_reason.empty()) {
-    out += Format(",\"discharge\":\"%s\"", JsonEscape(discharge_reason).c_str());
-  }
+  if (!discharge_reason.empty()) field("discharge", discharge_reason);
   out += "}";
   return out;
 }

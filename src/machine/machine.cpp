@@ -670,13 +670,8 @@ __attribute__((noinline)) Machine::IcacheBlock& Machine::EnsureIcacheBlock(PhysA
   return *block;
 }
 
-CpuEvent Machine::ExecuteCpu() {
-  MachineBus bus(*this);
-  return ExecuteCpuT<false>(bus, cpu_);
-}
-
 // Cache miss (or stale entry): decode from memory and refill. Out of line to
-// keep ExecuteCpuFast small enough to inline into the Run loop.
+// keep ExecuteCpu small.
 __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
                                                            PredecodedInsn& entry, PhysAddr phys,
                                                            std::uint32_t offset,
@@ -719,36 +714,26 @@ __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
   return interp::ExecutePredecodedT<MachineBus>(cpu_, bus, entry.insn, entry.ext.data());
 }
 
-template <bool kLocalState>
-inline CpuEvent Machine::ExecuteCpuT(MachineBus& bus, CpuState& st) {
-  // Every out-of-line slow path executes against cpu_ proper; with a local
-  // register copy (kLocalState) it is bracketed by commit/reload so `st`'s
-  // address never leaves this function.
-  const auto generic = [&] {
-    if constexpr (kLocalState) cpu_ = st;
-    const CpuEvent event = interp::ExecuteOneT<MachineBus>(cpu_, bus);
-    if constexpr (kLocalState) st = cpu_;
-    return event;
-  };
-
+CpuEvent Machine::ExecuteCpu() {
+  MachineBus bus(*this);
   if (!predecode_enabled_) [[unlikely]] {
-    return generic();
+    return interp::ExecuteOneT<MachineBus>(cpu_, bus);
   }
 
   // Fast-path preconditions, re-established from the live MMU state every
   // step so remaps can never serve a stale mapping: the whole instruction
   // must lie in RAM inside one contiguously-mapped virtual page.
-  const VirtAddr pc = st.pc();
+  const VirtAddr pc = cpu_.pc();
   const PageRegister& pr =
-      mmu_.page(st.psw.mode(), static_cast<int>((pc >> kPageBits) & 0x7));
+      mmu_.page(cpu_.psw.mode(), static_cast<int>((pc >> kPageBits) & 0x7));
   const std::uint32_t offset = pc & (kPageWords - 1);
   const std::uint32_t limit = pr.length < kPageWords ? pr.length : kPageWords;
   if (pr.access == PageAccess::kNone || offset >= limit) [[unlikely]] {
-    return generic();  // faults identically
+    return interp::ExecuteOneT<MachineBus>(cpu_, bus);  // faults identically
   }
   const PhysAddr phys = pr.base + offset;
   if (!memory_.InRange(phys)) [[unlikely]] {
-    return generic();  // device space / bus timeout
+    return interp::ExecuteOneT<MachineBus>(cpu_, bus);  // device space / bus timeout
   }
 
   const std::size_t block_index = phys >> kIcacheBlockShift;
@@ -765,28 +750,21 @@ inline CpuEvent Machine::ExecuteCpuT(MachineBus& bus, CpuState& st) {
             memory_.PageVersion(phys + static_cast<PhysAddr>(entry.insn.length) - 1);
   }
   if (!valid) [[unlikely]] {
-    if constexpr (kLocalState) cpu_ = st;
-    const CpuEvent event = ExecuteCpuMiss(bus, entry, phys, offset, limit);
-    if constexpr (kLocalState) st = cpu_;
-    return event;
+    return ExecuteCpuMiss(bus, entry, phys, offset, limit);
   }
 
   ++predecode_hits_;
   if (offset + static_cast<std::uint32_t>(entry.insn.length) > limit) [[unlikely]] {
     // The mapping shrank since decode; the generic path reproduces the
     // exact mid-instruction fault.
-    return generic();
+    return interp::ExecuteOneT<MachineBus>(cpu_, bus);
   }
   CpuEvent event;
-  if (interp::ExecutePredecodedDirectT<MachineBus>(st, bus, entry.insn, entry.ext.data(),
+  if (interp::ExecutePredecodedDirectT<MachineBus>(cpu_, bus, entry.insn, entry.ext.data(),
                                                    &event)) [[likely]] {
     return event;
   }
-  if constexpr (kLocalState) cpu_ = st;
-  const CpuEvent slow_event =
-      interp::ExecutePredecodedT<MachineBus>(cpu_, bus, entry.insn, entry.ext.data());
-  if constexpr (kLocalState) st = cpu_;
-  return slow_event;
+  return interp::ExecutePredecodedT<MachineBus>(cpu_, bus, entry.insn, entry.ext.data());
 }
 
 void Machine::StepDevicePhase(int slot) { devices_[slot]->Step(); }
@@ -807,11 +785,11 @@ std::optional<Word> Machine::PeekVirt(VirtAddr addr) const {
 // replicated into the tail of every handler so each predecoded opcode gets
 // its own indirect-branch site — the classic threaded-code cure for the
 // single rotating dispatch jump that mispredicts once per step) validates
-// the fast-path preconditions exactly like ExecuteCpuT, then jumps through
+// the fast-path preconditions exactly like ExecuteCpu, then jumps through
 // the per-entry `form` byte. PC and PSW live in locals so the step-to-step
-// critical path never round-trips through memory; `st` is the same
-// never-escaping local register copy the non-threaded batched loop uses,
-// synced with cpu_ around every out-of-line slow path.
+// critical path never round-trips through memory; `st` is a local register
+// copy whose address never escapes (so guest stores provably cannot alias
+// it), synced with cpu_ around every out-of-line slow path.
 //
 // Ticks: `steps` is folded into tick_ only on exit, so every slow path that
 // can emit a trace event first sets tick_ to the tick of the step it acts
@@ -900,7 +878,7 @@ std::size_t Machine::RunThreaded(std::size_t max_steps, BatchStop* stop) {
 #define SEP_SYNC_OUT() (st.regs[kPc] = pc, st.psw = psw, cpu_ = st)
 #define SEP_SYNC_IN() (st = cpu_, pc = st.regs[kPc], psw = st.psw, cur_vpage = ~0u)
 
-  // The per-step validation from ExecuteCpuT, ending in the threaded jump.
+  // The per-step validation from ExecuteCpu, ending in the threaded jump.
   // `steps`/`hits` are committed here so handlers and slow paths reached
   // from the jump must not count them again. HOOK runs after the entry is
   // validated and before the jump; the taken-branch dispatch uses it for
@@ -1336,52 +1314,18 @@ run_done:
 }
 
 std::size_t Machine::Run(std::size_t max_steps) {
-  std::size_t steps = 0;
-
-  // Batched fast loops: with no client and no devices there is no deferred
-  // kernel work, no interrupt source and no device phase, so each step is
-  // exactly one instruction phase plus the tick — step-for-step identical
-  // to the generic loop below. With the predecode cache on, the
-  // direct-threaded loop runs; with it off, the bus and event plumbing are
-  // still hoisted out of the loop and ExecuteCpuT inlines here. With a
-  // client or devices, the threaded loop runs between kernel entries
-  // (RunBatched); with the cache off, the reference Step() loop runs.
-  if (client_ == nullptr && devices_.empty()) {
-    if (predecode_enabled_) {
-      return RunThreaded(max_steps);
-    }
-    MachineBus bus(*this);
-    // Architectural registers live in a loop-local copy: its address never
-    // escapes, so guest memory stores provably cannot alias it and PC/PSW
-    // stay in machine registers across iterations. Synced with cpu_ around
-    // every slow path (ExecuteCpuT<true>) and event application.
-    CpuState st = cpu_;
-    while (steps < max_steps && !halted_) {
-      if (waiting_) [[unlikely]] {
-        // Nothing can ever wake the CPU: the remaining steps are idle ticks.
-        cpu_ = st;
-        tick_ += max_steps - steps;
-        return max_steps;
-      }
-      const CpuEvent cpu_event = ExecuteCpuT<true>(bus, st);
-      if (cpu_event.kind != CpuEventKind::kOk) [[unlikely]] {
-        cpu_ = st;
-        (void)ApplyCpuEvent(cpu_event);
-        st = cpu_;
-      }
-      ++tick_;
-      ++steps;
-    }
-    cpu_ = st;
-    return steps;
-  }
-
+  // With the predecode cache off, Run is the reference Step() loop. With it
+  // on, a bare machine (no client, no devices: no deferred kernel work, no
+  // interrupt source, no device phase) runs the direct-threaded loop
+  // outright, and anything else runs it between kernel entries
+  // (RunBatched).
   if (predecode_enabled_) {
-    return RunBatched(max_steps);
+    return client_ == nullptr && devices_.empty() ? RunThreaded(max_steps)
+                                                  : RunBatched(max_steps);
   }
-  while (steps < max_steps && !halted_) {
+  std::size_t steps = 0;
+  for (; steps < max_steps && !halted_; ++steps) {
     Step();
-    ++steps;
   }
   return steps;
 }

@@ -346,8 +346,7 @@ class Machine {
   std::size_t BatchLength(std::size_t budget) const;
 
   // The instruction-execution half of StepCpuPhase (no client work, no
-  // interrupt was deliverable, not idle). Shared by StepCpuPhase and the
-  // batched Run loop.
+  // interrupt was deliverable, not idle).
   StepEvent ExecuteInstructionPhase();
 
   // Applies a CPU event to machine state (halt/wait latches, trap dispatch)
@@ -359,21 +358,6 @@ class Machine {
   // preconditions do not hold (cache disabled, fetch would fault or touch
   // device space, instruction crosses a page, invalid opcode).
   CpuEvent ExecuteCpu();
-
-  // The hot core of ExecuteCpu against an already-constructed bus: inlined
-  // into the batched Run loop. Cache misses and every fallback are
-  // out-of-line in ExecuteCpuMiss / the generic interpreter.
-  //
-  // `st` is the architectural register state the instruction executes
-  // against. StepCpuPhase passes cpu_ itself (kLocalState = false). The
-  // batched Run loop instead keeps a function-local copy whose address
-  // never escapes — so the compiler can prove guest memory stores do not
-  // alias it and keep PC/PSW live across iterations — and kLocalState = true
-  // brackets every out-of-line slow path with a cpu_ commit/reload.
-  // Forced inline: if this stayed out of line, &st would escape into the
-  // call and the aliasing argument above would not hold.
-  template <bool kLocalState>
-  __attribute__((always_inline)) CpuEvent ExecuteCpuT(MachineBus& bus, CpuState& st);
   CpuEvent ExecuteCpuMiss(MachineBus& bus, PredecodedInsn& entry, PhysAddr phys,
                           std::uint32_t offset, std::uint32_t limit);
 

@@ -179,7 +179,7 @@ struct RelSet {
     if (dst == src) return;
     std::array<RelBound, kRegs> inherited;
     for (int q = 0; q < kRegs; ++q) {
-      inherited[static_cast<std::size_t>(q)] = Get(src, q);
+      if (q != src) inherited[static_cast<std::size_t>(q)] = Get(src, q);  // Get needs q != src
     }
     Drop(dst);
     for (int q = 0; q < kRegs; ++q) {

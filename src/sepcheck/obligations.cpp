@@ -1,37 +1,9 @@
 #include "src/sepcheck/obligations.h"
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace sep::sepcheck {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* ConditionSlug(Condition c) {
   switch (c) {
@@ -65,20 +37,20 @@ const char* ObligationStatusSlug(ObligationStatus s) {
 
 std::string Obligation::ToJson() const {
   std::string out = "{";
+  // Appends ,"key":"value".
+  const auto field = [&out](const char* key, std::string_view value) {
+    out.append(",\"").append(key).append("\":\"");
+    AppendJsonEscaped(out, value);
+    out += '"';
+  };
   out += Format("\"condition\":\"%s\"", ConditionSlug(condition));
   out += Format(",\"status\":\"%s\"", ObligationStatusSlug(status));
-  out += Format(",\"unit\":\"%s\"", JsonEscape(unit).c_str());
+  field("unit", unit);
   if (address >= 0) out += Format(",\"address\":%d", address);
   if (line >= 0) out += Format(",\"line\":%d", line);
-  if (!instruction.empty()) {
-    out += Format(",\"instruction\":\"%s\"", JsonEscape(instruction).c_str());
-  }
-  if (!detail.empty()) {
-    out += Format(",\"detail\":\"%s\"", JsonEscape(detail).c_str());
-  }
-  if (!discharge_reason.empty()) {
-    out += Format(",\"discharge\":\"%s\"", JsonEscape(discharge_reason).c_str());
-  }
+  if (!instruction.empty()) field("instruction", instruction);
+  if (!detail.empty()) field("detail", detail);
+  if (!discharge_reason.empty()) field("discharge", discharge_reason);
   out += "}";
   return out;
 }
@@ -111,7 +83,9 @@ std::string RenderObligationsJson(const std::vector<EntryObligations>& entries) 
     ObligationSummary summary;
     for (const Obligation& o : entry.obligations) summary.Add(o);
     out += "    {\n";
-    out += Format("      \"entry\": \"%s\",\n", JsonEscape(entry.entry).c_str());
+    out += "      \"entry\": \"";
+    AppendJsonEscaped(out, entry.entry);
+    out += "\",\n";
     out += Format("      \"certified\": %s,\n", entry.certified ? "true" : "false");
     out += Format("      \"open\": %d,\n", summary.Open());
     out += Format("      \"summary\": %s,\n", summary.ToJson().c_str());

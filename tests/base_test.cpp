@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "src/base/file.h"
 #include "src/base/hash.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
@@ -27,6 +28,32 @@ TEST(Result, VoidResult) {
   Result<> bad = Err("broken");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error(), "broken");
+}
+
+TEST(File, WriteReadAndAppend) {
+  const std::string path = ::testing::TempDir() + "/base_test_file.bin";
+  ASSERT_TRUE(WriteFile(path, std::string("one\0two", 7)).ok());
+  ASSERT_TRUE(WriteFile(path, "\n3", /*append=*/true).ok());
+  const Result<std::string> back = ReadFile(path);
+  ASSERT_TRUE(back.ok()) << back.error();
+  EXPECT_EQ(*back, std::string("one\0two\n3", 9));
+  ASSERT_TRUE(WriteFile(path, "x").ok());  // replaces
+  EXPECT_EQ(ReadFile(path).value_or(""), "x");
+}
+
+TEST(File, FailuresAreErrors) {
+  const Result<std::string> missing = ReadFile("/nonexistent/dir/file");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().rfind("cannot open /nonexistent/dir/file", 0), 0u);
+  EXPECT_FALSE(ReadFile(::testing::TempDir()).ok());  // a directory opens but cannot be read
+  EXPECT_FALSE(WriteFile("/nonexistent/dir/file", "data").ok());
+  // /dev/full accepts the open and the buffered write; the flush at close
+  // fails, and that failure must not be lost.
+  const Result<> full = WriteFile("/dev/full", "data");
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().rfind("cannot write /dev/full", 0), 0u);
+  EXPECT_FALSE(WriteFile("/dev/full", "data", /*append=*/true).ok());
+  EXPECT_FALSE(WriteFile("/dev/full", std::string(1 << 16, 'x')).ok());
 }
 
 TEST(Rng, Deterministic) {

@@ -8,8 +8,11 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <string>
+
+#include "src/base/file.h"
+#include "src/base/json.h"
+#include "src/base/strings.h"
 
 namespace sep {
 namespace {
@@ -52,10 +55,8 @@ TEST(CliValidation, Sm11RunValidatesSuperblockFlag) {
   EXPECT_EQ(RunTool(Tool("sm11run") + " --superblock off prog.s"), 1);
 }
 
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-}
+// Reads a whole file; empty string if it cannot be read.
+std::string Slurp(const std::string& path) { return ReadFile(path).value_or(""); }
 
 // One sm11run invocation with stdin closed; stdout, stderr (which carries
 // the step count) and the metrics dump are kept for comparison.
@@ -78,9 +79,9 @@ Sm11RunOutput RunSm11(const std::string& flags, const std::string& program) {
   if (status != -1 && WIFEXITED(status)) {
     result.exit_code = WEXITSTATUS(status);
   }
-  result.out = ReadAll(out);
-  result.err = ReadAll(err);
-  result.metrics = ReadAll(metrics);
+  result.out = Slurp(out);
+  result.err = Slurp(err);
+  result.metrics = Slurp(metrics);
   return result;
 }
 
@@ -159,14 +160,6 @@ int RunToolRaw(const std::string& cmd) {
   return WEXITSTATUS(status);
 }
 
-// Reads a whole file; empty string if it cannot be opened.
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return text;
-}
-
 TEST(CliValidation, SepcheckParallelRunIsByteIdenticalToSerial) {
   // The findings text and the obligation ledger must not depend on --jobs:
   // entries are analyzed in parallel but buffered and emitted in catalogue
@@ -207,6 +200,81 @@ TEST(CliValidation, CheckObligationsGatesTheLedger) {
   text.replace(at, from.size(), "\"status\":\"open\"");
   std::ofstream(forged) << text;
   EXPECT_EQ(RunTool(Tool("check_obligations") + " " + forged), 1);
+}
+
+TEST(CliValidation, CheckObligationsRejectsHostileLedgers) {
+  // Malformed JSON is a validation failure (exit 1) with a parse
+  // diagnostic: never an uncaught exception (exit 134) or a stack overflow
+  // (exit 139).
+  const std::string dir = testing::TempDir();
+  const std::string err = dir + "/check_obligations.err";
+  const std::pair<const char*, std::string> hostile[] = {
+      {"huge_number.json", "{\"schema\": 99999999999999999999999}\n"},
+      {"deep.json", std::string(200000, '[')},
+      {"control_byte.json", "{\"schema\": \"sepcheck-obligations-v1\x01\"}\n"},
+  };
+  for (const auto& [name, text] : hostile) {
+    SCOPED_TRACE(name);
+    const std::string ledger = dir + "/" + name;
+    std::ofstream(ledger) << text;
+    EXPECT_EQ(RunToolRaw(Tool("check_obligations") + " " + ledger + " >/dev/null 2>" + err), 1);
+    EXPECT_NE(Slurp(err).find("JSON parse error"), std::string::npos) << Slurp(err);
+  }
+  // The schema drift guard reads the parsed "$id", not a substring.
+  const std::string ledger = dir + "/good_ledger.json";
+  ASSERT_EQ(RunTool(Tool("sepcheck") + " --all --obligations " + ledger), 0);
+  const std::string schema = dir + "/schema.json";
+  std::ofstream(schema) << "{\"nested\": {\"$id\": \"sepcheck-obligations-v1\"}}\n";
+  EXPECT_EQ(RunTool(Tool("check_obligations") + " --schema " + schema + " " + ledger), 1);
+  EXPECT_EQ(RunTool(Tool("check_obligations") + " --schema " + std::string(SEP_SOURCE_DIR) +
+                    "/docs/obligations.schema.json " + ledger),
+            0);
+  EXPECT_EQ(RunTool(Tool("check_obligations") + " --schema /nonexistent.json " + ledger), 2);
+}
+
+TEST(CliValidation, SepcheckJsonEscapesAnnotationControlBytes) {
+  // Annotation text reaches findings and obligations verbatim; control
+  // bytes in it must come out as \u escapes, so every line stays JSON.
+  const std::string guest = WriteProgram("ctl_annotation.s",
+                                         "START:  MOV #1, R1    ; sepcheck: trust why\x1f not\n"
+                                         "        MOV R1, @0x100\n"
+                                         "        BR START\n"
+                                         "; sepcheck: bogus\x01 directive\n");
+  const std::string dir = testing::TempDir();
+  const std::string out = dir + "/ctl_annotation.jsonl";
+  const std::string ledger = dir + "/ctl_annotation_ledger.json";
+  RunToolRaw(Tool("sepcheck") + " --json --obligations " + ledger + " " + guest + " >" + out +
+             " 2>/dev/null");
+  const std::string text = Slurp(out);
+  ASSERT_NE(text.find("\\u0001"), std::string::npos) << text;
+  int lines = 0;
+  bool seen_raw_byte = false;
+  for (const std::string& line : Split(text, '\n')) {
+    if (line.empty()) continue;
+    ++lines;
+    const Result<JsonValue> doc = ParseJson(line);
+    ASSERT_TRUE(doc.ok()) << doc.error() << "\n" << line;
+    const JsonValue* message = doc->Find("message");
+    if (message != nullptr && message->str.find('\x01') != std::string::npos) {
+      seen_raw_byte = true;
+    }
+  }
+  EXPECT_GT(lines, 0);
+  EXPECT_TRUE(seen_raw_byte);  // the byte survives the round trip
+  const Result<JsonValue> ledger_doc = ParseJson(Slurp(ledger));
+  EXPECT_TRUE(ledger_doc.ok()) << ledger_doc.error();
+}
+
+TEST(CliValidation, FailedWritesExitTwo) {
+  // /dev/full accepts the open and fails the flush: a tool that does not
+  // check its close would report success with nothing written.
+  const std::string halt = WriteProgram("halt.s", "        HALT\n");
+  const std::string ping = WriteProgram("ping.s", "LOOP: TRAP 0\n      BR LOOP\n");
+  EXPECT_EQ(RunTool(Tool("sm11run") + " --trace /dev/full " + halt + " </dev/null"), 2);
+  EXPECT_EQ(RunTool(Tool("sm11run") + " --regime --metrics /dev/full " + halt + " </dev/null"), 2);
+  EXPECT_EQ(RunTool(Tool("sep_trace") + " --steps 200 --out /dev/full " + ping), 2);
+  EXPECT_EQ(RunTool(Tool("chaos_run") + " --trace /dev/full 1"), 2);
+  EXPECT_EQ(RunTool(Tool("sepcheck") + " --obligations /dev/full " + halt), 2);
 }
 
 TEST(CliValidation, ChaosRunRejectsBadNumbers) {
@@ -250,6 +318,45 @@ TEST(CliValidation, BenchReportRejectsMalformedBaseline) {
   std::ofstream(path) << "{\"schema\": \"something-else\"}\n";
   EXPECT_EQ(RunTool(Tool("bench_report") + " --compare " + path), 2);
   EXPECT_EQ(RunTool(Tool("bench_report") + " --compare /nonexistent/baseline.json"), 2);
+
+  // The whole baseline is validated up front: a truncated file that still
+  // holds the schema marker, a non-object "metrics" and a non-numeric
+  // guarded metric each exit 2 naming the file, and no benchmark starts
+  // (--bindir points nowhere, so reaching the benchmarks would also fail,
+  // but only after announcing them).
+  const std::string committed = Slurp(std::string(SEP_SOURCE_DIR) + "/BENCH_10.json");
+  ASSERT_NE(committed.find("\"predecode_speedup\": "), std::string::npos);
+  const std::string dir = testing::TempDir();
+  const std::string err = dir + "/bench_report.err";
+  const auto preflight = [&](const std::string& baseline) {
+    return RunToolRaw(Tool("bench_report") + " --bindir /nonexistent --compare " + baseline +
+                      " >/dev/null 2>" + err);
+  };
+  std::string metrics_not_object = committed;
+  const std::size_t metrics_at = metrics_not_object.find("\"metrics\": {");
+  ASSERT_NE(metrics_at, std::string::npos);
+  metrics_not_object.replace(metrics_at, 12, "\"metrics\": [], \"unused\": {");
+  std::string non_numeric = committed;
+  const std::string speedup = "\"predecode_speedup\": ";
+  non_numeric.insert(non_numeric.find(speedup) + speedup.size(), "\"fast\", \"was\": ");
+  const std::pair<const char*, std::string> bad[] = {
+      {"truncated.json", committed.substr(0, committed.size() / 2)},
+      {"metrics_array.json", metrics_not_object},
+      {"metric_string.json", non_numeric},
+  };
+  for (const auto& [name, text] : bad) {
+    SCOPED_TRACE(name);
+    const std::string baseline = dir + "/" + name;
+    std::ofstream(baseline) << text;
+    EXPECT_EQ(preflight(baseline), 2);
+    const std::string diagnostic = Slurp(err);
+    EXPECT_NE(diagnostic.find(baseline), std::string::npos) << diagnostic;
+    EXPECT_EQ(diagnostic.find("running"), std::string::npos) << diagnostic;
+  }
+  // The committed baseline itself passes pre-flight and reaches the
+  // benchmarks (which then fail to start: exit 2 after announcing them).
+  EXPECT_EQ(preflight(std::string(SEP_SOURCE_DIR) + "/BENCH_10.json"), 2);
+  EXPECT_NE(Slurp(err).find("running bench_machine"), std::string::npos) << Slurp(err);
 }
 
 TEST(CliValidation, SepTraceRejectsBadArguments) {

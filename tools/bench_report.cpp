@@ -18,12 +18,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/file.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace {
@@ -73,33 +74,36 @@ std::string Capture(const std::string& command) {
   return output;
 }
 
-// Minimal extraction from google-benchmark's --benchmark_format=json output:
-// maps benchmark name -> the numeric `field` of its result object (e.g.
-// "items_per_second", or a user counter like "bytes_per_state"). Tolerant of
-// leading non-JSON noise (tables printed before benchmark::Initialize takes
-// over).
-std::map<std::string, double> ParseBenchField(const std::string& json, const std::string& field) {
-  const std::string needle = "\"" + field + "\":";
+// Runs a benchmark binary and parses its --benchmark_format=json output.
+// Text before the first '{' (tables printed before benchmark::Initialize
+// takes over) is skipped; anything else malformed exits 2.
+sep::JsonValue RunBench(const std::string& command) {
+  const std::string output = Capture(command);
+  const std::size_t start = output.find('{');
+  sep::Result<sep::JsonValue> doc =
+      sep::ParseJson(std::string_view(output).substr(std::min(start, output.size())));
+  if (!doc.ok()) {
+    std::fprintf(stderr, "bench_report: output of %s: JSON parse error: %s\n", command.c_str(),
+                 doc.error().c_str());
+    std::exit(2);
+  }
+  return std::move(*doc);
+}
+
+// Maps benchmark name -> the numeric `field` of its result object (e.g.
+// "items_per_second", or a user counter like "bytes_per_state").
+std::map<std::string, double> BenchField(const sep::JsonValue& doc, const char* field) {
   std::map<std::string, double> result;
-  std::size_t pos = 0;
-  while ((pos = json.find("\"name\":", pos)) != std::string::npos) {
-    const std::size_t open = json.find('"', pos + 7);
-    if (open == std::string::npos) break;
-    const std::size_t close = json.find('"', open + 1);
-    if (close == std::string::npos) break;
-    const std::string name = json.substr(open + 1, close - open - 1);
-    const std::size_t next_name = json.find("\"name\":", close);
-    const std::size_t value = json.find(needle, close);
-    pos = close;
-    if (value != std::string::npos && (next_name == std::string::npos || value < next_name)) {
-      result[name] = std::strtod(json.c_str() + value + needle.size(), nullptr);
+  const sep::JsonValue* benchmarks = doc.Find("benchmarks");
+  if (benchmarks == nullptr) return result;
+  for (const sep::JsonValue& run : benchmarks->items) {
+    const sep::JsonValue* name = run.Find("name");
+    const sep::JsonValue* value = run.Find(field);
+    if (name != nullptr && value != nullptr && value->IsNumber()) {
+      result[name->str] = value->AsDouble();
     }
   }
   return result;
-}
-
-std::map<std::string, double> ParseItemsPerSecond(const std::string& json) {
-  return ParseBenchField(json, "items_per_second");
 }
 
 // Wall-clock best-of-N of a command (min over runs: noise on a shared host
@@ -124,27 +128,40 @@ double Metric(const std::map<std::string, double>& table, const char* name) {
   return it->second;
 }
 
-// Reads `key` out of a flat JSON metrics object ("key": value). Returns
-// false if absent — baselines may predate newly added metrics.
-bool JsonNumber(const std::string& json, const std::string& key, double* out) {
-  const std::size_t pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
-  return true;
+[[noreturn]] void RejectBaseline(const std::string& path, const std::string& why) {
+  std::fprintf(stderr, "bench_report: %s is not a sep-bench-v1 baseline: %s\n", path.c_str(),
+               why.c_str());
+  std::exit(2);
 }
 
-std::string ReadFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_report: cannot read %s\n", path.c_str());
+// Reads and validates a --compare baseline before any benchmark runs: a
+// sep-bench-v1 document with host.hardware_threads and a metrics object of
+// numbers. Exits 2 with a diagnostic naming the file otherwise.
+sep::JsonValue LoadBaseline(const std::string& path) {
+  const sep::Result<std::string> text = sep::ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "bench_report: %s\n", text.error().c_str());
     std::exit(2);
   }
-  std::string data;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = fread(buffer, 1, sizeof buffer, f)) > 0) data.append(buffer, got);
-  std::fclose(f);
-  return data;
+  sep::Result<sep::JsonValue> doc = sep::ParseJson(*text);
+  if (!doc.ok()) RejectBaseline(path, "JSON parse error: " + doc.error());
+  const sep::JsonValue* schema = doc->Find("schema");
+  if (schema == nullptr || schema->str != "sep-bench-v1") {
+    RejectBaseline(path, "missing schema marker");
+  }
+  const sep::JsonValue* host = doc->Find("host");
+  const sep::JsonValue* threads = host == nullptr ? nullptr : host->Find("hardware_threads");
+  if (threads == nullptr || !threads->IsNumber()) {
+    RejectBaseline(path, "no numeric host.hardware_threads");
+  }
+  const sep::JsonValue* metrics = doc->Find("metrics");
+  if (metrics == nullptr || metrics->kind != sep::JsonValue::Kind::kObject) {
+    RejectBaseline(path, "\"metrics\" is not an object");
+  }
+  for (const auto& [name, value] : metrics->members) {
+    if (!value.IsNumber()) RejectBaseline(path, "metric " + name + " is not a number");
+  }
+  return std::move(*doc);
 }
 
 }  // namespace
@@ -193,16 +210,8 @@ int main(int argc, char** argv) {
   // Validate the baseline BEFORE running minutes of benchmarks: a missing
   // file or a non-baseline JSON document should fail immediately, not after
   // the work is done.
-  std::string baseline;
-  if (!opt.compare.empty()) {
-    baseline = ReadFile(opt.compare);
-    if (baseline.find("\"schema\": \"sep-bench-v1\"") == std::string::npos) {
-      std::fprintf(stderr,
-                   "bench_report: %s is not a sep-bench-v1 baseline (missing schema marker)\n",
-                   opt.compare.c_str());
-      return 2;
-    }
-  }
+  const sep::JsonValue baseline =
+      opt.compare.empty() ? sep::JsonValue() : LoadBaseline(opt.compare);
   const int threads = static_cast<int>(std::thread::hardware_concurrency());
   const int jobs = opt.jobs > 0 ? opt.jobs : std::max(threads, 1);
   // Smoke mode trades precision for runtime so CI can gate on it.
@@ -224,17 +233,15 @@ int main(int argc, char** argv) {
       min_time + " --benchmark_filter='BM_Channel'";
 
   std::fprintf(stderr, "bench_report: running bench_machine...\n");
-  const std::map<std::string, double> m1 = ParseItemsPerSecond(Capture(machine));
+  const std::map<std::string, double> m1 = BenchField(RunBench(machine), "items_per_second");
   std::fprintf(stderr, "bench_report: running bench_separability...\n");
-  const std::string separability_json = Capture(separability);
-  const std::map<std::string, double> m2 = ParseItemsPerSecond(separability_json);
-  const std::map<std::string, double> m2_bytes =
-      ParseBenchField(separability_json, "bytes_per_state");
+  const sep::JsonValue separability_json = RunBench(separability);
+  const std::map<std::string, double> m2 = BenchField(separability_json, "items_per_second");
+  const std::map<std::string, double> m2_bytes = BenchField(separability_json, "bytes_per_state");
   std::fprintf(stderr, "bench_report: running bench_recovery...\n");
-  const std::map<std::string, double> m3 =
-      ParseBenchField(Capture(recovery), "recovery_ticks_p99");
+  const std::map<std::string, double> m3 = BenchField(RunBench(recovery), "recovery_ticks_p99");
   std::fprintf(stderr, "bench_report: running bench_channels...\n");
-  const std::map<std::string, double> m4 = ParseItemsPerSecond(Capture(channels));
+  const std::map<std::string, double> m4 = BenchField(RunBench(channels), "items_per_second");
   std::fprintf(stderr, "bench_report: timing sepcheck...\n");
   const std::string sepcheck = opt.bindir + "/tools/sepcheck --all";
   const double sepcheck_serial = BestSeconds(sepcheck + " > /dev/null", sepcheck_runs);
@@ -360,7 +367,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, value] : metrics) {
     // A zero-duration run or a missing counter would put inf/nan into the
     // report, which is not JSON and poisons every later comparison. Skip the
-    // metric with a note instead; JsonNumber treats absence as "skip".
+    // metric with a note instead; --compare treats absence as "skip".
     if (!std::isfinite(value)) {
       std::fprintf(stderr, "bench_report: note: %s is non-finite (%g); omitted from report\n",
                    name.c_str(), value);
@@ -380,25 +387,18 @@ int main(int argc, char** argv) {
 
   std::fputs(json.c_str(), stdout);
   if (!opt.out.empty()) {
-    FILE* f = std::fopen(opt.out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_report: cannot write %s\n", opt.out.c_str());
+    if (const sep::Result<> written = sep::WriteFile(opt.out, json); !written.ok()) {
+      std::fprintf(stderr, "bench_report: %s\n", written.error().c_str());
       return 2;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
   }
 
   if (!opt.compare.empty()) {
     // Parallel speedups compare meaningfully only between multi-threaded
     // hosts; a baseline recorded on (or a check run on) a single hardware
     // thread would fail them for reasons unrelated to the change under test.
-    double baseline_threads = 0;
-    if (!JsonNumber(baseline, "hardware_threads", &baseline_threads)) {
-      std::fprintf(stderr, "bench_report: baseline lacks host.hardware_threads; "
-                           "treating it as single-threaded\n");
-      baseline_threads = 1;
-    }
+    const double baseline_threads = baseline.Find("host")->Find("hardware_threads")->AsDouble();
+    const sep::JsonValue& baseline_metrics = *baseline.Find("metrics");
     int failures = 0;
     for (const std::string& name : guarded) {
       const bool parallel_guard =
@@ -411,8 +411,9 @@ int main(int argc, char** argv) {
                      name.c_str(), static_cast<int>(baseline_threads), threads);
         continue;
       }
-      double base = 0;
-      if (!JsonNumber(baseline, name, &base) || base <= 0) {
+      const sep::JsonValue* base_value = baseline_metrics.Find(name);
+      const double base = base_value == nullptr ? 0 : base_value->AsDouble();
+      if (base <= 0) {
         std::fprintf(stderr, "bench_report: baseline lacks %s; skipping\n", name.c_str());
         continue;
       }
@@ -424,28 +425,17 @@ int main(int argc, char** argv) {
       }
       const bool inverted = std::find(lower_is_better.begin(), lower_is_better.end(), name) !=
                             lower_is_better.end();
-      if (inverted) {
-        const double ceiling = base * (1.0 + opt.tolerance);
-        if (current > ceiling) {
-          std::fprintf(stderr,
-                       "bench_report: REGRESSION %s: %.3f > %.3f (baseline %.3f + %.0f%%)\n",
-                       name.c_str(), current, ceiling, base, opt.tolerance * 100);
-          ++failures;
-        } else {
-          std::fprintf(stderr, "bench_report: ok %s: %.3f (baseline %.3f)\n", name.c_str(),
-                       current, base);
-        }
-        continue;
-      }
-      const double floor = base * (1.0 - opt.tolerance);
-      if (current < floor) {
+      // Cost metrics fail above base + tolerance, the others below base - tolerance.
+      const double bound = base * (inverted ? 1.0 + opt.tolerance : 1.0 - opt.tolerance);
+      if (inverted ? current > bound : current < bound) {
         std::fprintf(stderr,
-                     "bench_report: REGRESSION %s: %.3f < %.3f (baseline %.3f - %.0f%%)\n",
-                     name.c_str(), current, floor, base, opt.tolerance * 100);
+                     "bench_report: REGRESSION %s: %.3f %c %.3f (baseline %.3f %c %.0f%%)\n",
+                     name.c_str(), current, inverted ? '>' : '<', bound, base,
+                     inverted ? '+' : '-', opt.tolerance * 100);
         ++failures;
       } else {
-        std::fprintf(stderr, "bench_report: ok %s: %.3f (baseline %.3f)\n", name.c_str(),
-                     current, base);
+        std::fprintf(stderr, "bench_report: ok %s: %.3f (baseline %.3f)\n", name.c_str(), current,
+                     base);
       }
     }
     if (failures > 0) return 1;

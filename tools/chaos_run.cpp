@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/file.h"
 #include "src/base/strings.h"
 #include "src/components/snfe_receive.h"
 #include "src/distributed/reliable.h"
@@ -85,15 +86,13 @@ int UsageError(const char* message, const char* value) {
   return 2;
 }
 
-bool WriteFile(const std::string& path, const std::string& data) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_run: cannot write %s\n", path.c_str());
-    return false;
+// Writes (or appends to) an output file; reports and returns false on failure.
+bool WriteOrComplain(const std::string& path, const std::string& data, bool append = false) {
+  const Result<> written = WriteFile(path, data, append);
+  if (!written.ok()) {
+    std::fprintf(stderr, "chaos_run: %s\n", written.error().c_str());
   }
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return true;
+  return written.ok();
 }
 
 // --- crash-chaos sweep (E18) -------------------------------------------------
@@ -196,17 +195,6 @@ std::string FormatSchedule(std::uint64_t seed, int rate, int packets, bool broke
   return line;
 }
 
-bool AppendFile(const std::string& path, const std::string& data) {
-  FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_run: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 int SweepMain(std::uint64_t seed_lo, std::uint64_t seed_hi, int packets, int rate,
               bool broken, const std::string& record_path) {
   const std::vector<Frame> baseline = Baseline(packets);
@@ -237,7 +225,7 @@ int SweepMain(std::uint64_t seed_lo, std::uint64_t seed_hi, int packets, int rat
     }
     const std::string line = FormatSchedule(seed, rate, packets, broken, schedule);
     std::printf("  failing schedule (shrunk): %s", line.c_str());
-    if (!record_path.empty() && !AppendFile(record_path, line)) {
+    if (!record_path.empty() && !WriteOrComplain(record_path, line, /*append=*/true)) {
       return 2;
     }
   }
@@ -250,39 +238,22 @@ int SweepMain(std::uint64_t seed_lo, std::uint64_t seed_hi, int packets, int rat
 }
 
 int ReplayMain(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_run: cannot read %s\n", path.c_str());
+  const Result<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    std::fprintf(stderr, "chaos_run: %s\n", file.error().c_str());
     return 2;
   }
-  std::string data;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    data.append(buf, n);
-  }
-  std::fclose(f);
 
   int line_no = 0;
   std::uint64_t reproduced = 0, total = 0;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t eol = data.find('\n', pos);
-    const std::string line = data.substr(pos, eol == std::string::npos ? eol : eol - pos);
-    pos = eol == std::string::npos ? data.size() : eol + 1;
+  for (const std::string& line : Split(*file, '\n')) {
     ++line_no;
     if (line.empty()) {
       continue;
     }
     // Tokenize and strictly parse: "seed S rate R packets P broken B
     // [crash ingress|egress AT DELAY]..."
-    std::vector<std::string> tok;
-    std::size_t start = 0;
-    while (start < line.size()) {
-      const std::size_t end = line.find(' ', start);
-      tok.push_back(line.substr(start, end == std::string::npos ? end : end - start));
-      start = end == std::string::npos ? line.size() : end + 1;
-    }
+    const std::vector<std::string> tok = Split(line, ' ');
     const auto bad = [&](const char* what) {
       std::fprintf(stderr, "chaos_run: %s:%d: malformed schedule (%s)\n", path.c_str(),
                    line_no, what);
@@ -496,10 +467,10 @@ int Main(int argc, char** argv) {
   if (observe) {
     obs::Recorder().Stop();
     const std::vector<obs::TraceEvent> events = obs::Recorder().Drain();
-    if (!trace_path.empty() && !WriteFile(trace_path, obs::ChromeTraceJson(events))) {
+    if (!trace_path.empty() && !WriteOrComplain(trace_path, obs::ChromeTraceJson(events))) {
       return 2;
     }
-    if (!metrics_path.empty() && !WriteFile(metrics_path, obs::MetricsText())) {
+    if (!metrics_path.empty() && !WriteOrComplain(metrics_path, obs::MetricsText())) {
       return 2;
     }
     if (obs::Recorder().dropped() > 0) {

@@ -16,214 +16,17 @@
 // With --schema the schema file's "$id" must match the document's schema
 // tag, so the two cannot drift apart silently. Exit 0 iff the ledger is
 // valid; 1 on validation failure; 2 on usage or I/O errors.
-#include <cctype>
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/file.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 #include "src/sepcheck/obligations.h"
 
 namespace sep {
 namespace {
-
-// --- minimal JSON parser ------------------------------------------------------
-//
-// Just enough JSON for the ledger: objects, arrays, strings (with the
-// escapes sepcheck emits), integers, booleans. Objects keep insertion
-// order so duplicate keys can be rejected.
-
-struct JsonValue;
-using JsonMembers = std::vector<std::pair<std::string, JsonValue>>;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  long long number = 0;
-  std::string str;
-  std::vector<JsonValue> items;
-  JsonMembers members;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue& out) {
-    ok_ = ParseValue(out);
-    SkipSpace();
-    if (ok_ && pos_ != text_.size()) Fail("trailing content");
-    return ok_;
-  }
-  const std::string& error() const { return error_; }
-
- private:
-  void Fail(const std::string& what) {
-    if (ok_) error_ = Format("offset %zu: %s", pos_, what.c_str());
-    ok_ = false;
-  }
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    Fail(Format("expected '%c'", c));
-    return false;
-  }
-  bool ParseLiteral(const char* word, JsonValue& out, JsonValue::Kind kind,
-                    bool boolean) {
-    const std::size_t n = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, n, word) != 0) {
-      Fail(Format("bad literal, expected %s", word));
-      return false;
-    }
-    pos_ += n;
-    out.kind = kind;
-    out.boolean = boolean;
-    return true;
-  }
-  bool ParseString(std::string& out) {
-    if (!Consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            // The ledger never emits \u escapes; accept and keep them raw.
-            out += "\\u";
-            break;
-          default:
-            Fail("bad escape");
-            return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    Fail("unterminated string");
-    return false;
-  }
-  bool ParseValue(JsonValue& out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-      return false;
-    }
-    const char c = text_[pos_];
-    switch (c) {
-      case '{': {
-        ++pos_;
-        out.kind = JsonValue::Kind::kObject;
-        SkipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          std::string key;
-          if (!ParseString(key)) return false;
-          if (out.Find(key) != nullptr) {
-            Fail(Format("duplicate key \"%s\"", key.c_str()));
-            return false;
-          }
-          if (!Consume(':')) return false;
-          JsonValue v;
-          if (!ParseValue(v)) return false;
-          out.members.emplace_back(std::move(key), std::move(v));
-          SkipSpace();
-          if (pos_ < text_.size() && text_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          return Consume('}');
-        }
-      }
-      case '[': {
-        ++pos_;
-        out.kind = JsonValue::Kind::kArray;
-        SkipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          JsonValue v;
-          if (!ParseValue(v)) return false;
-          out.items.push_back(std::move(v));
-          SkipSpace();
-          if (pos_ < text_.size() && text_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          return Consume(']');
-        }
-      }
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return ParseString(out.str);
-      case 't':
-        return ParseLiteral("true", out, JsonValue::Kind::kBool, true);
-      case 'f':
-        return ParseLiteral("false", out, JsonValue::Kind::kBool, false);
-      case 'n':
-        return ParseLiteral("null", out, JsonValue::Kind::kNull, false);
-      default: {
-        out.kind = JsonValue::Kind::kNumber;
-        std::size_t end = pos_;
-        if (end < text_.size() && text_[end] == '-') ++end;
-        while (end < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[end]))) {
-          ++end;
-        }
-        if (end == pos_ || (text_[pos_] == '-' && end == pos_ + 1)) {
-          Fail("bad token");
-          return false;
-        }
-        out.number = std::stoll(text_.substr(pos_, end - pos_));
-        pos_ = end;
-        return true;
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-  std::string error_;
-};
-
-// --- ledger validation --------------------------------------------------------
 
 constexpr const char* kConditions[] = {
     "memory-partition",  "channel-exclusivity", "io-exclusivity",
@@ -328,8 +131,8 @@ class Validator {
     }
 
     const JsonValue* open_field = entry.Find("open");
-    if (open_field == nullptr || open_field->kind != JsonValue::Kind::kNumber ||
-        open_field->number != open) {
+    if (open_field == nullptr || open_field->kind != JsonValue::Kind::kInt ||
+        open_field->integer != open) {
       Problem(where, Format("\"open\" must equal the recomputed count %d", open));
     }
     ValidateSummary(entry.Find("summary"), where, counts);
@@ -376,13 +179,13 @@ class Validator {
       Problem(where, "obligation \"unit\" must be a non-empty string");
     }
     const JsonValue* address = o.Find("address");
-    if (address != nullptr && (address->kind != JsonValue::Kind::kNumber ||
-                               address->number < 0 || address->number > 0xFFFF)) {
+    if (address != nullptr && (address->kind != JsonValue::Kind::kInt ||
+                               address->integer < 0 || address->integer > 0xFFFF)) {
       Problem(where, "obligation \"address\" must be a machine address");
     }
     const JsonValue* line = o.Find("line");
     if (line != nullptr &&
-        (line->kind != JsonValue::Kind::kNumber || line->number < 1)) {
+        (line->kind != JsonValue::Kind::kInt || line->integer < 1)) {
       Problem(where, "obligation \"line\" must be a positive line number");
     }
     const JsonValue* discharge = o.Find("discharge");
@@ -410,8 +213,8 @@ class Validator {
       }
       for (int s = 0; s < 3; ++s) {
         const JsonValue* n = per->Find(kStatuses[s]);
-        if (n == nullptr || n->kind != JsonValue::Kind::kNumber ||
-            n->number != counts[c][s]) {
+        if (n == nullptr || n->kind != JsonValue::Kind::kInt ||
+            n->integer != counts[c][s]) {
           Problem(where, Format("summary[%s][%s] must equal the recomputed %d",
                                 kConditions[c], kStatuses[s], counts[c][s]));
         }
@@ -422,13 +225,22 @@ class Validator {
   int problems_ = 0;
 };
 
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
+// Reads and parses `path` into `out`. Returns 0, or the exit status for the
+// failure: 2 if the file cannot be read, 1 if it is not valid JSON.
+int LoadJson(const std::string& path, JsonValue& out) {
+  const Result<std::string> text = ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "check_obligations: %s\n", text.error().c_str());
+    return 2;
+  }
+  Result<JsonValue> parsed = ParseJson(*text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "check_obligations: %s: JSON parse error: %s\n", path.c_str(),
+                 parsed.error().c_str());
+    return 1;
+  }
+  out = std::move(*parsed);
+  return 0;
 }
 
 int Usage() {
@@ -463,15 +275,11 @@ int main(int argc, char** argv) {
   if (!schema_path.empty()) {
     // Drift guard: the checked-in schema must describe the same document
     // version this validator (and sepcheck) implements.
-    std::string schema_text;
-    if (!sep::ReadFile(schema_path, schema_text)) {
-      std::fprintf(stderr, "check_obligations: cannot open %s\n",
-                   schema_path.c_str());
-      return 2;
-    }
-    const std::string want =
-        sep::Format("\"$id\": \"%s\"", sep::sepcheck::kObligationsSchemaTag);
-    if (schema_text.find(want) == std::string::npos) {
+    sep::JsonValue schema;
+    if (const int rc = sep::LoadJson(schema_path, schema); rc != 0) return rc;
+    const sep::JsonValue* id = schema.Find("$id");
+    if (id == nullptr || id->kind != sep::JsonValue::Kind::kString ||
+        id->str != sep::sepcheck::kObligationsSchemaTag) {
       std::fprintf(stderr,
                    "check_obligations: %s does not declare $id %s — schema and "
                    "tool have drifted\n",
@@ -480,18 +288,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string text;
-  if (!sep::ReadFile(ledger_path, text)) {
-    std::fprintf(stderr, "check_obligations: cannot open %s\n", ledger_path.c_str());
-    return 2;
-  }
   sep::JsonValue doc;
-  sep::JsonParser parser(text);
-  if (!parser.Parse(doc)) {
-    std::fprintf(stderr, "check_obligations: %s: JSON parse error: %s\n",
-                 ledger_path.c_str(), parser.error().c_str());
-    return 1;
-  }
+  if (const int rc = sep::LoadJson(ledger_path, doc); rc != 0) return rc;
   sep::Validator validator;
   if (!validator.Validate(doc)) {
     std::fprintf(stderr, "check_obligations: %s: %d problem(s)\n",

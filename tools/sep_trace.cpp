@@ -21,12 +21,10 @@
 // expansion/restore counters that show how evenly the work-stealing
 // frontier spread the exploration (docs/PERFORMANCE.md §6).
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/base/result.h"
+#include "src/base/file.h"
 #include "src/base/strings.h"
 #include "src/core/exhaustive.h"
 #include "src/core/kernel_system.h"
@@ -47,16 +45,6 @@ constexpr char kUsage[] =
 int UsageError(const char* message, const char* value) {
   std::fprintf(stderr, "sep_trace: %s: %s\n%s", message, value, kUsage);
   return 2;
-}
-
-sep::Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return sep::Err("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 enum class Format { kChrome, kText, kCanonical, kMetrics };
@@ -130,7 +118,7 @@ int main(int argc, char** argv) {
 
   sep::SystemBuilder builder;
   for (std::size_t g = 0; g < guests.size(); ++g) {
-    sep::Result<std::string> source = ReadFile(guests[g]);
+    sep::Result<std::string> source = sep::ReadFile(guests[g]);
     if (!source.ok()) {
       std::fprintf(stderr, "sep_trace: %s\n", source.error().c_str());
       return 2;
@@ -199,14 +187,9 @@ int main(int argc, char** argv) {
 
   if (out_path.empty()) {
     std::fputs(output.c_str(), stdout);
-  } else {
-    FILE* f = std::fopen(out_path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "sep_trace: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-    std::fwrite(output.data(), 1, output.size(), f);
-    std::fclose(f);
+  } else if (const sep::Result<> written = sep::WriteFile(out_path, output); !written.ok()) {
+    std::fprintf(stderr, "sep_trace: %s\n", written.error().c_str());
+    return 2;
   }
 
   std::fprintf(stderr, "sep_trace: %zu step(s), %zu event(s)%s\n", executed, events.size(),

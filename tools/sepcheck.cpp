@@ -23,17 +23,14 @@
 // (0 = all hardware threads); output — the findings text and the ledger —
 // stays in catalogue order, byte-identical to a serial run.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/analysis/finding.h"
+#include "src/base/file.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
-
-#include "src/analysis/finding.h"
-#include "src/base/result.h"
 #include "src/sepcheck/catalog.h"
 
 namespace sep {
@@ -65,16 +62,6 @@ int UsageError(const char* message, const char* value) {
   return Usage();
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Err("cannot open " + path);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 int DischargedCount(const std::vector<Finding>& findings) {
   int n = 0;
   for (const Finding& f : findings) {
@@ -94,13 +81,11 @@ struct EntryOutcome {
 
 // Writes `text` to `path`; reports and fails loudly on error.
 bool WriteFileOrComplain(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "sepcheck: cannot write %s\n", path.c_str());
-    return false;
+  const Result<> written = WriteFile(path, text);
+  if (!written.ok()) {
+    std::fprintf(stderr, "sepcheck: %s\n", written.error().c_str());
   }
-  return true;
+  return written.ok();
 }
 
 EntryOutcome CheckEntry(const CatalogEntry& entry, bool json, bool probe) {
@@ -132,11 +117,12 @@ EntryOutcome CheckEntry(const CatalogEntry& entry, bool json, bool probe) {
 
   if (json) {
     r.out = FormatFindings(analysis->findings, /*json=*/true);
+    r.out += "{\"entry\":\"";
+    AppendJsonEscaped(r.out, entry.name);
     r.out += Format(
-        "{\"entry\":\"%s\",\"certified\":%s,\"discharged\":%d,"
-        "\"semantic\":\"%s\",\"expected\":%s}\n",
-        entry.name.c_str(), analysis->certified ? "true" : "false", discharged,
-        semantic.c_str(), r.ok ? "true" : "false");
+        "\",\"certified\":%s,\"discharged\":%d,\"semantic\":\"%s\",\"expected\":%s}\n",
+        analysis->certified ? "true" : "false", discharged, semantic.c_str(),
+        r.ok ? "true" : "false");
   } else {
     r.out = Format("== %s: %zu regime(s), %zu channel(s), %s\n", entry.name.c_str(),
                    entry.spec.regimes.size(), entry.spec.channels.size(),

@@ -19,13 +19,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <unistd.h>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/core/kernel_system.h"
+#include "src/base/file.h"
 #include "src/base/strings.h"
+#include "src/core/kernel_system.h"
 #include "src/machine/devices.h"
 #include "src/machine/machine.h"
 #include "src/obs/export.h"
@@ -56,16 +55,6 @@ constexpr char kUsage[] =
 int UsageError(const char* message, const char* value) {
   std::fprintf(stderr, "sm11run: %s: %s\n%s", message, value, kUsage);
   return 2;
-}
-
-sep::Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return sep::Err("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 int RunBare(const sep::AssembledProgram& program, const Options& options) {
@@ -179,15 +168,13 @@ int RunRegime(const std::string& source, const Options& options) {
 
 }  // namespace
 
-int WriteFileOrDie(const std::string& path, const std::string& data) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sm11run: cannot write %s\n", path.c_str());
-    return 2;
+// Writes an observability export; reports and returns false on failure.
+bool WriteExport(const std::string& path, const std::string& data) {
+  const sep::Result<> written = sep::WriteFile(path, data);
+  if (!written.ok()) {
+    std::fprintf(stderr, "sm11run: %s\n", written.error().c_str());
   }
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return 0;
+  return written.ok();
 }
 
 int main(int argc, char** argv) {
@@ -245,7 +232,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  sep::Result<std::string> source = ReadFile(options.path);
+  sep::Result<std::string> source = sep::ReadFile(options.path);
   if (!source.ok()) {
     std::fprintf(stderr, "error: %s\n", source.error().c_str());
     return 1;
@@ -270,13 +257,13 @@ int main(int argc, char** argv) {
   if (observe) {
     sep::obs::Recorder().Stop();
     const std::vector<sep::obs::TraceEvent> events = sep::obs::Recorder().Drain();
-    if (!options.trace_path.empty()) {
-      const int wrc = WriteFileOrDie(options.trace_path, sep::obs::ChromeTraceJson(events));
-      if (wrc != 0) return wrc;
+    if (!options.trace_path.empty() &&
+        !WriteExport(options.trace_path, sep::obs::ChromeTraceJson(events))) {
+      return 2;
     }
-    if (!options.metrics_path.empty()) {
-      const int wrc = WriteFileOrDie(options.metrics_path, sep::obs::MetricsText());
-      if (wrc != 0) return wrc;
+    if (!options.metrics_path.empty() &&
+        !WriteExport(options.metrics_path, sep::obs::MetricsText())) {
+      return 2;
     }
   }
   return rc;
