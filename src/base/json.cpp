@@ -8,9 +8,47 @@
 
 namespace sep {
 
+namespace {
+
+// Length of the well-formed UTF-8 sequence (RFC 3629) that starts at
+// text[pos], or 0 if none does: overlong forms, encoded surrogates, code
+// points above 0x10FFFF, lone continuation bytes and truncated sequences
+// are all ill-formed.
+std::size_t Utf8SequenceLength(std::string_view text, std::size_t pos) {
+  const auto byte = [&](std::size_t i) {
+    return pos + i < text.size() ? static_cast<unsigned char>(text[pos + i]) : 0u;
+  };
+  const unsigned lead = byte(0);
+  if (lead < 0x80) return 1;
+  std::size_t length = 0;
+  unsigned lo = 0x80;  // range of the first continuation byte
+  unsigned hi = 0xBF;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    length = 2;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    length = 3;
+    if (lead == 0xE0) lo = 0xA0;  // overlong
+    if (lead == 0xED) hi = 0x9F;  // surrogates
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    length = 4;
+    if (lead == 0xF0) lo = 0x90;  // overlong
+    if (lead == 0xF4) hi = 0x8F;  // above 0x10FFFF
+  } else {
+    return 0;
+  }
+  if (byte(1) < lo || byte(1) > hi) return 0;
+  for (std::size_t i = 2; i < length; ++i) {
+    if (byte(i) < 0x80 || byte(i) > 0xBF) return 0;
+  }
+  return length;
+}
+
+}  // namespace
+
 void AppendJsonEscaped(std::string& out, std::string_view text) {
   static constexpr char kHex[] = "0123456789abcdef";
-  for (const char c : text) {
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
     const auto byte = static_cast<unsigned char>(c);
     if (c == '"' || c == '\\') {
       out += '\\';
@@ -23,8 +61,13 @@ void AppendJsonEscaped(std::string& out, std::string_view text) {
       out += "\\u00";
       out += kHex[byte >> 4];
       out += kHex[byte & 0xF];
-    } else {
+    } else if (byte < 0x80) {
       out += c;
+    } else if (const std::size_t length = Utf8SequenceLength(text, i); length > 0) {
+      out.append(text.substr(i, length));
+      i += length - 1;
+    } else {
+      out += "\\ufffd";
     }
   }
 }
@@ -245,6 +288,13 @@ class Parser {
         return true;
       }
       if (static_cast<unsigned char>(c) < 0x20) return Fail("raw control byte in string");
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        const std::size_t length = Utf8SequenceLength(text_, pos_);
+        if (length == 0) return Fail("invalid UTF-8 in string");
+        out.append(text_.substr(pos_, length));
+        pos_ += length;
+        continue;
+      }
       ++pos_;
       if (c != '\\') {
         out += c;

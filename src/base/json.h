@@ -22,7 +22,9 @@ namespace sep {
 
 // Appends `text` to `out` as the body of a JSON string (no quotes): `"` and
 // `\` are backslash-escaped, `\n` and `\t` keep their short forms, and every
-// other byte below 0x20 becomes `\u00XX`. All other bytes pass through.
+// other byte below 0x20 becomes `\u00XX`. Well-formed UTF-8 sequences pass
+// through; each byte of an ill-formed one becomes `\ufffd`, so the output is
+// always valid UTF-8.
 void AppendJsonEscaped(std::string& out, std::string_view text);
 
 struct JsonValue {
@@ -48,8 +50,9 @@ struct JsonValue {
 inline constexpr int kMaxJsonDepth = 64;
 
 // Parses one JSON document (RFC 8259). Rejects duplicate object keys,
-// trailing content, raw control bytes in strings, bad escapes and unpaired
-// surrogates; decodes `\uXXXX` to UTF-8. Integers must fit a long long and
+// trailing content, raw control bytes and ill-formed UTF-8 (overlong forms,
+// lone continuation bytes, encoded surrogates) in strings, bad escapes and
+// unpaired surrogates; decodes `\uXXXX` to UTF-8. Integers must fit a long long and
 // other numbers a finite double. The error reads "offset N: what".
 Result<JsonValue> ParseJson(std::string_view text);
 

@@ -52,14 +52,15 @@ namespace {
 //      store is rebuilt with only canonical states in canonical order so
 //      peak_state_bytes stays schedule-independent too.
 //
-// Pair checking reuses the same stealing pool: the replay drives dispatch
-// in waves and consumes outcomes with the serial kPairChunk stop semantics.
+// Pair checking needs no schedule of its own: one parallel pass per colour
+// computes every state's effect signature, and the merge thread compares
+// stored signatures pair by pair (CheckPairs).
 //
-// restore_count reports the SERIAL-EQUIVALENT schedule cost (the number of
-// RestoreFullState calls the canonical serial schedule performs), which is
-// what makes it comparable across thread counts; the actual per-worker
-// restore counts — which include stealing overshoot — are exported as
-// per-worker gauges instead.
+// restore_count reports the SERIAL-EQUIVALENT exploration cost (the number
+// of RestoreFullState calls the canonical serial schedule performs) plus the
+// signature passes' restores, a fixed number per state; both are
+// independent of thread count. The actual per-worker restore counts — which
+// include stealing overshoot — are exported as per-worker gauges instead.
 //
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; workers reconstruct live
@@ -71,8 +72,6 @@ constexpr std::size_t kChunkWords = 64;
 // its stop semantics (restore counts, truncation points), so the replay
 // keeps it even though the stealing pool no longer batches.
 constexpr std::size_t kLevelChunk = 64;
-// Φ-equal pairs merged per canonical-replay batch (same role).
-constexpr std::size_t kPairChunk = 512;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
 // tell "at least 65535" from a small value.
@@ -292,11 +291,11 @@ std::uint32_t InternChunkCached(ShardedStateStore& store, ChunkCache& cache, con
 }
 
 // One FAILED check, recorded by a worker. Passing checks are never stored:
-// the canonical replay synthesizes the full check sequence (it is a pure
-// function of the successor ordinal / pair-task structure) and splices the
-// recorded failures in at their ordinal positions.
+// the canonical replay synthesizes the full check sequence from the
+// per-successor check counts and splices the recorded failures in at their
+// successor ordinals.
 struct FailRec {
-  std::uint32_t ordinal = 0;  // check position within the expansion / task
+  std::uint32_t ordinal = 0;  // successor position within the expansion
   std::int16_t condition = 0;
   std::int16_t colour = kColourNone;
   std::string description;
@@ -407,17 +406,14 @@ class ExhaustiveRun {
   // reusable buffers of every hot loop. Indexed by the pool's worker index;
   // never touched by two threads at once.
   struct Scratch {
-    std::unique_ptr<SharedSystem> base;  // the "from" / first-of-pair state
-    std::unique_ptr<SharedSystem> work;  // mutated per successor / per probe
-    std::vector<Word> key_a;             // materialized serializations
-    std::vector<Word> key_b;
-    std::vector<Word> ser;    // successor serialization scratch
-    std::vector<Word> phi_a;  // abstraction scratch
-    std::vector<Word> phi_b;
+    std::unique_ptr<SharedSystem> base;  // the "from" state / signature state
+    std::unique_ptr<SharedSystem> work;  // mutated per successor
+    std::vector<Word> key;               // materialized serialization
+    std::vector<Word> ser;               // successor serialization scratch
+    std::vector<Word> phi;               // abstraction scratch
     std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the from state
-    std::vector<std::uint32_t> refs_a;          // chunk-ref scratch (materialize)
-    std::vector<std::uint32_t> refs_b;
-    std::vector<std::uint32_t> intern_refs;  // chunk-ref scratch (intern)
+    std::vector<std::uint32_t> refs;            // chunk-ref scratch (materialize)
+    std::vector<std::uint32_t> intern_refs;     // chunk-ref scratch (intern)
     ChunkCache cache;
     std::uint64_t restores = 0;
   };
@@ -464,7 +460,7 @@ class ExhaustiveRun {
     return buf == expected;
   }
 
-  // One successor of the state held in sc.base / sc.key_a: reconstruct it
+  // One successor of the state held in sc.base / sc.key: reconstruct it
   // in sc.work, apply `mutate`, record FAILED checks only, serialize,
   // intern into the sharded store and log the packed id. If the intern was
   // fresh, hand the state to the scheduler (exactly one thread sees fresh).
@@ -472,7 +468,7 @@ class ExhaustiveRun {
   void Successor(Scratch& sc, WorkerLog& log, const ExpandRec& rec, StealScheduler* sched,
                  int lane, Mutate mutate, PerColourCheck check) {
     const std::uint32_t ordinal = static_cast<std::uint32_t>(log.succs.size()) - rec.succ_begin;
-    Restore(*sc.work, sc.key_a, sc);
+    Restore(*sc.work, sc.key, sc);
     mutate(*sc.work);
     // The number of checks a successor contributes is NOT a pure function
     // of its ordinal: a from-state whose active colour is outside the
@@ -513,8 +509,8 @@ class ExhaustiveRun {
     rec.succ_begin = static_cast<std::uint32_t>(log.succs.size());
     rec.fail_begin = static_cast<std::uint32_t>(log.fails.size());
 
-    store_->MaterializeState(from, sc.refs_a, sc.key_a);
-    Restore(*sc.base, sc.key_a, sc);
+    store_->MaterializeState(from, sc.refs, sc.key);
+    Restore(*sc.base, sc.key, sc);
     for (int c = 0; c < colours_; ++c) {
       sc.before_phi[static_cast<std::size_t>(c)].clear();
       sc.base->AppendAbstract(c, sc.before_phi[static_cast<std::size_t>(c)]);
@@ -531,7 +527,7 @@ class ExhaustiveRun {
               continue;
             }
             ++checks;
-            if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
+            if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
               log.fails.push_back(
                   {ordinal, 2, static_cast<std::int16_t>(c),
                    Format("operation of colour %d changed Φ of colour %d", active, c)});
@@ -554,7 +550,7 @@ class ExhaustiveRun {
                   continue;
                 }
                 ++checks;
-                if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
+                if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
                   log.fails.push_back({ordinal, 4, static_cast<std::int16_t>(c),
                                        Format("input to unit %d visible to colour %d", unit, c)});
                 }
@@ -580,7 +576,7 @@ class ExhaustiveRun {
                 continue;
               }
               ++checks;
-              if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
+              if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
                 log.fails.push_back(
                     {ordinal, 4, static_cast<std::int16_t>(c),
                      Format("activity of unit %d visible to colour %d", unit, c)});
@@ -654,10 +650,10 @@ class ExhaustiveRun {
     return static_cast<int>(report_.violations.size()) >= options_.max_violations;
   }
 
-  void CountViolation(const FailRec& f) {
-    ++report_.conditions[static_cast<std::size_t>(f.condition)].violations;
+  void CountViolation(int condition, int colour, const std::string& description) {
+    ++report_.conditions[static_cast<std::size_t>(condition)].violations;
     if (static_cast<int>(report_.violations.size()) < options_.max_violations) {
-      report_.violations.push_back({f.condition, f.colour, 0, f.description});
+      report_.violations.push_back({condition, colour, 0, description});
     }
   }
 
@@ -708,7 +704,8 @@ class ExhaustiveRun {
             report_.conditions[static_cast<std::size_t>(cond)].checks +=
                 log.succ_checks[rec.succ_begin + ord];
             while (fi < rec.fail_end && log.fails[fi].ordinal == ord) {
-              CountViolation(log.fails[fi]);
+              CountViolation(log.fails[fi].condition, log.fails[fi].colour,
+                             log.fails[fi].description);
               ++fi;
             }
             const std::int32_t sp = log.succs[rec.succ_begin + ord];
@@ -751,176 +748,70 @@ class ExhaustiveRun {
     }
     store_ = std::move(rebuilt);
     // Worker chunk caches hold refs into the dropped store; nothing interns
-    // chunks after this point (the pair phase only materializes), so they
-    // are never consulted again.
+    // chunks after this point (the signature pass only materializes), so
+    // they are never consulted again.
   }
 
-  // --- pair phase: same stealing pool, canonical replay of outcomes ---
+  // --- pair phase: per-state effect signatures ---
 
-  // The checks of conditions 6, 1, 3 and 5 for one Φ-equal pair, in the
-  // serial checker's order; records failures by check position. `a`/`b`
-  // are canonical ids.
-  void CheckPairRecord(int c, std::int32_t a, std::int32_t b, std::vector<FailRec>& out) {
-    Scratch& sc = ScratchHere();
-    std::uint32_t pos = 0;
-    auto fail = [&](int cond, std::string description) {
-      out.push_back({pos, static_cast<std::int16_t>(cond), static_cast<std::int16_t>(c),
-                     std::move(description)});
-    };
-    store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(a)], sc.refs_a, sc.key_a);
-    store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(b)], sc.refs_b, sc.key_b);
-
-    // Conditions 6 and 1: same colour + same Φ^c.
-    if (state_colours_[static_cast<std::size_t>(a)] == c &&
-        state_colours_[static_cast<std::size_t>(b)] == c) {
-      Restore(*sc.base, sc.key_a, sc);
-      Restore(*sc.work, sc.key_b, sc);
-      const OperationId na = sc.base->NextOperation();
-      const OperationId nb = sc.work->NextOperation();
-      if (na != nb) {
-        fail(6, Format("NEXTOP differs for Φ-equal states of colour %d: %s vs %s", c,
-                       na.ToString().c_str(), nb.ToString().c_str()));
-      }
-      ++pos;
-      sc.base->ExecuteOperation();
-      sc.work->ExecuteOperation();
-      sc.phi_a.clear();
-      sc.base->AppendAbstract(c, sc.phi_a);
-      if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
-        fail(1, Format("operation effect on colour %d differs across Φ-equal states", c));
-      }
-      ++pos;
-    }
-
-    // Conditions 3 and 5 for each unit of colour c.
-    for (int unit = 0; unit < units_; ++unit) {
-      if (initial_->UnitColour(unit) != c) {
-        continue;
-      }
-      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        Restore(*sc.base, sc.key_a, sc);
-        Restore(*sc.work, sc.key_b, sc);
-        sc.base->InjectInput(unit, static_cast<Word>(value));
-        sc.work->InjectInput(unit, static_cast<Word>(value));
-        sc.phi_a.clear();
-        sc.base->AppendAbstract(c, sc.phi_a);
-        if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
-          fail(3, Format("input effect on colour %d differs across Φ-equal states", c));
-        }
-        ++pos;
-      }
-      Restore(*sc.base, sc.key_a, sc);
-      Restore(*sc.work, sc.key_b, sc);
-      sc.base->StepUnit(unit);
-      sc.work->StepUnit(unit);
-      sc.phi_a.clear();
-      sc.base->AppendAbstract(c, sc.phi_a);
-      if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
-        fail(3, Format("unit activity on colour %d differs across Φ-equal states", c));
-      }
-      ++pos;
-      if (sc.base->DrainOutput(unit) != sc.work->DrainOutput(unit)) {
-        fail(5, Format("output of colour %d differs across Φ-equal states", c));
-      }
-      ++pos;
-    }
-  }
-
-  // Replays one pair task's check sequence, splicing recorded failures in
-  // by position. Mirrors CheckPairRecord's structure exactly.
-  void ReplayPairTask(int c, std::int32_t a, std::int32_t b, const std::vector<FailRec>& fails) {
-    std::uint32_t pos = 0;
-    std::size_t fi = 0;
-    auto check = [&](int cond) {
-      ++report_.conditions[static_cast<std::size_t>(cond)].checks;
-      if (fi < fails.size() && fails[fi].ordinal == pos) {
-        CountViolation(fails[fi]);
-        ++fi;
-      }
-      ++pos;
-    };
-    if (state_colours_[static_cast<std::size_t>(a)] == c &&
-        state_colours_[static_cast<std::size_t>(b)] == c) {
-      check(6);
-      check(1);
-    }
-    for (int unit = 0; unit < units_; ++unit) {
-      if (initial_->UnitColour(unit) != c) {
-        continue;
-      }
-      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        check(3);
-      }
-      check(3);
-      check(5);
-    }
-  }
-
-  // RestoreFullState calls one pair task costs the serial schedule.
-  std::uint64_t PairTaskCost(int c, std::int32_t a, std::int32_t b,
-                             std::uint64_t units_of_colour) const {
-    const std::uint64_t both =
-        state_colours_[static_cast<std::size_t>(a)] == c &&
-                state_colours_[static_cast<std::size_t>(b)] == c
-            ? 2
-            : 0;
-    return both + units_of_colour * (2 * static_cast<std::uint64_t>(options_.inputs_per_unit) + 2);
-  }
-
-  // Conditions with a two-state antecedent, over every Φ-equal pair.
-  // Workers compute outcomes on the stealing pool in waves; the merge
-  // thread consumes them with the serial kPairChunk stop semantics, so the
-  // report (including which pair hits the max_violations cut) is identical
-  // to the serial schedule's.
+  // Conditions (1), (3), (5) and (6) all read "Φ^c(s) = Φ^c(t) ⇒ f(s) =
+  // f(t)": a colour-c effect may depend on Φ^c only. So each state's
+  // colour-c effects are computed once, in the pass that computes its Φ^c,
+  // and a Φ-equal pair is checked by comparing the two stored signatures
+  // exactly (words and OperationId, never a hash). Pairs are enumerated, cut
+  // and reported in the serial order: groups by ascending Φ key (the order
+  // a std::map would iterate), members by ascending state id, pairs
+  // lexicographically within a group, capped per group.
   void CheckPairs() {
     const std::size_t n = canon_to_packed_.size();
-
-    struct PairTask {
-      std::int32_t a;
-      std::int32_t b;
-    };
-    // Wave width is a dispatch knob only (larger = less barrier overhead,
-    // more post-cut overshoot); the replay's chunk semantics — and with
-    // them every report field — do not depend on it, so it MAY scale with
-    // the pool. Always a multiple of kPairChunk.
-    const std::size_t wave_cap =
-        kPairChunk * std::clamp<std::size_t>(static_cast<std::size_t>(pool_.size()) * 4, 1, 32);
+    const std::size_t inputs = static_cast<std::size_t>(options_.inputs_per_unit);
     std::vector<std::vector<Word>> phis(n);
+    std::vector<std::int8_t> state_colours(n);
     std::vector<int> order(n);
-    state_colours_.assign(n, kColourNone);
-    std::vector<PairTask> tasks;
-    std::vector<std::vector<FailRec>> outcomes(wave_cap);
-    bool colours_known = false;
 
     for (int c = 0; c < colours_ && !Done(); ++c) {
-      // Group reachable states by Φ^c. Each worker reconstructs the state
-      // in its scratch system, computes Φ^c once into the per-state slot
-      // and (on the first colour) records COLOUR(s) so the pair probes can
-      // test their condition-6/1 antecedent without a restore. Grain adapts
-      // to pool and problem width (the old fixed batch starved wide pools).
-      pool_.ParallelFor(n, ThreadPool::AdaptiveGrain(n, pool_.size()), [&](std::size_t i) {
-        Scratch& sc = ScratchHere();
-        store_->MaterializeState(canon_to_packed_[i], sc.refs_a, sc.key_a);
-        Restore(*sc.base, sc.key_a, sc);
-        if (!colours_known) {
-          state_colours_[i] = static_cast<std::int8_t>(sc.base->Colour());
-        }
-        phis[i].clear();
-        sc.base->AppendAbstract(c, phis[i]);
-      });
-      colours_known = true;
-      sim_restores_ += n;
-
-      std::uint64_t units_of_colour = 0;
+      std::vector<int> units_of_colour;
       for (int unit = 0; unit < units_; ++unit) {
         if (initial_->UnitColour(unit) == c) {
-          ++units_of_colour;
+          units_of_colour.push_back(unit);
         }
       }
+      // State i's signature: NEXTOP (states of colour c only) and the words
+      // of effects[i * stride ..]: Φ^c after the operation (empty unless the
+      // state has colour c), then per unit of colour c, Φ^c after each
+      // input, Φ^c after the unit's step and the output that step drains.
+      // Freed at the end of the colour.
+      const std::size_t stride = 1 + units_of_colour.size() * (inputs + 2);
+      std::vector<OperationId> next_ops(n);
+      std::vector<std::vector<Word>> effects(n * stride);
+      pool_.ParallelFor(n, ThreadPool::AdaptiveGrain(n, pool_.size()), [&](std::size_t i) {
+        Scratch& sc = ScratchHere();
+        store_->MaterializeState(canon_to_packed_[i], sc.refs, sc.key);
+        Restore(*sc.base, sc.key, sc);
+        state_colours[i] = static_cast<std::int8_t>(sc.base->Colour());
+        phis[i].clear();
+        sc.base->AppendAbstract(c, phis[i]);
+        std::vector<Word>* effect = &effects[i * stride];
+        if (state_colours[i] == c) {
+          next_ops[i] = sc.base->NextOperation();
+          sc.base->ExecuteOperation();
+          sc.base->AppendAbstract(c, *effect);
+        }
+        ++effect;
+        for (const int unit : units_of_colour) {
+          for (std::size_t value = 1; value <= inputs; ++value) {
+            Restore(*sc.base, sc.key, sc);
+            sc.base->InjectInput(unit, static_cast<Word>(value));
+            sc.base->AppendAbstract(c, *effect++);
+          }
+          Restore(*sc.base, sc.key, sc);
+          sc.base->StepUnit(unit);
+          sc.base->AppendAbstract(c, *effect++);
+          *effect++ = sc.base->DrainOutput(unit);
+        }
+      });
+      sim_restores_ += n * (1 + units_of_colour.size() * (inputs + 1));
 
-      // Enumerate pairs in the serial order: groups by ascending Φ key (the
-      // order a std::map would iterate), members by ascending state id,
-      // pairs lexicographically within a group, capped per group.
       for (std::size_t i = 0; i < n; ++i) {
         order[i] = static_cast<int>(i);
       }
@@ -931,7 +822,42 @@ class ExhaustiveRun {
         return a < b;
       });
 
-      tasks.clear();
+      // The checks of one pair, in the serial checker's order.
+      auto check_pair = [&](std::size_t a, std::size_t b) {
+        auto check = [&](int cond, bool same, auto describe) {
+          ++report_.conditions[static_cast<std::size_t>(cond)].checks;
+          if (!same) {
+            CountViolation(cond, c, describe());
+          }
+        };
+        const std::vector<Word>* ea = &effects[a * stride];
+        const std::vector<Word>* eb = &effects[b * stride];
+        if (state_colours[a] == c && state_colours[b] == c) {
+          check(6, next_ops[a] == next_ops[b], [&] {
+            return Format("NEXTOP differs for Φ-equal states of colour %d: %s vs %s", c,
+                          next_ops[a].ToString().c_str(), next_ops[b].ToString().c_str());
+          });
+          check(1, *ea == *eb, [&] {
+            return Format("operation effect on colour %d differs across Φ-equal states", c);
+          });
+        }
+        ++ea;
+        ++eb;
+        for (std::size_t u = 0; u < units_of_colour.size(); ++u) {
+          for (std::size_t value = 1; value <= inputs; ++value) {
+            check(3, *ea++ == *eb++, [&] {
+              return Format("input effect on colour %d differs across Φ-equal states", c);
+            });
+          }
+          check(3, *ea++ == *eb++, [&] {
+            return Format("unit activity on colour %d differs across Φ-equal states", c);
+          });
+          check(5, *ea++ == *eb++, [&] {
+            return Format("output of colour %d differs across Φ-equal states", c);
+          });
+        }
+      };
+
       for (std::size_t begin = 0; begin < n;) {
         std::size_t end = begin + 1;
         while (end < n && phis[static_cast<std::size_t>(order[end])] ==
@@ -944,46 +870,14 @@ class ExhaustiveRun {
             if (++pairs > options_.max_pairs_per_group) {
               break;
             }
-            tasks.push_back({order[a], order[b]});
+            if (Done()) {
+              return;
+            }
+            ++report_.pairs_checked;
+            check_pair(static_cast<std::size_t>(order[a]), static_cast<std::size_t>(order[b]));
           }
         }
         begin = end;
-      }
-
-      std::size_t dispatched = 0;
-      std::size_t wave_begin = 0;
-      for (std::size_t base = 0; base < tasks.size() && !Done(); base += kPairChunk) {
-        const std::size_t count = std::min(kPairChunk, tasks.size() - base);
-        if (base == dispatched) {
-          // Replay fully consumed the previous wave; compute the next one
-          // on the stealing pool.
-          wave_begin = dispatched;
-          const std::size_t wave_end = std::min(tasks.size(), wave_begin + wave_cap);
-          for (std::size_t slot = 0; slot < wave_end - wave_begin; ++slot) {
-            outcomes[slot].clear();
-          }
-          StealScheduler sched(pool_.size(), options_.steal_seed + ++wave_counter_);
-          for (std::size_t t = wave_begin; t < wave_end; ++t) {
-            sched.Seed(static_cast<std::int64_t>(t));
-          }
-          sched.Run(pool_, [&](std::int64_t t, int /*lane*/) {
-            const PairTask& task = tasks[static_cast<std::size_t>(t)];
-            CheckPairRecord(c, task.a, task.b, outcomes[static_cast<std::size_t>(t) - wave_begin]);
-          });
-          report_.steal_count += sched.steal_count();
-          dispatched = wave_end;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          sim_restores_ += PairTaskCost(c, tasks[base + i].a, tasks[base + i].b, units_of_colour);
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          if (Done()) {
-            return;
-          }
-          ++report_.pairs_checked;
-          ReplayPairTask(c, tasks[base + i].a, tasks[base + i].b,
-                         outcomes[base + i - wave_begin]);
-        }
       }
     }
   }
@@ -1005,10 +899,8 @@ class ExhaustiveRun {
   std::array<std::vector<std::int64_t>, kShardCount> locator_;    // packed -> (worker, rec)
   std::vector<std::int32_t> canon_to_packed_;                     // canon id -> packed
   std::vector<std::int32_t> frontier_;                            // canon ids
-  std::vector<std::int8_t> state_colours_;  // COLOUR(s) per canon id (CheckPairs)
-  std::size_t depth_ = 0;                   // BFS levels completed (heartbeat)
-  std::uint64_t sim_restores_ = 0;          // serial-equivalent restore count
-  std::uint64_t wave_counter_ = 0;
+  std::size_t depth_ = 0;           // BFS levels completed (heartbeat)
+  std::uint64_t sim_restores_ = 0;  // deterministic restore count (see top)
   bool overflowed_ = false;
   ExhaustiveReport report_;
 };

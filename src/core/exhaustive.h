@@ -8,8 +8,12 @@
 //      operation, every environment input (a finite alphabet per unit) and
 //      every unit activity;
 //   2. check conditions (2) and (4) on every transition;
-//   3. group reachable states by (COLOUR, Φ^c) and check conditions (1),
-//      (3), (5) and (6) on EVERY pair within each group.
+//   3. group reachable states by Φ^c and check conditions (1), (3), (5)
+//      and (6) on EVERY pair within each group. Each condition says that a
+//      colour-c effect depends on Φ^c only, so every state's effects
+//      (NEXTOP, Φ^c after its operation, after each input and unit step,
+//      and the unit's output) are computed once per colour and a pair is
+//      checked by comparing the two stored signatures exactly.
 //
 // A report with `complete == true` is a genuine finite-model proof of the
 // six conditions over the reachable space — the closest executable
@@ -44,12 +48,12 @@ struct ExhaustiveOptions {
   // against quadratic blowup on degenerate abstractions).
   std::size_t max_pairs_per_group = 4096;
   int max_violations = 16;
-  // Worker threads for frontier expansion and pair checking (0 = all
-  // hardware threads). Expansion runs on a work-stealing frontier with a
-  // sharded concurrent store; the report is nonetheless byte-identical for
-  // every thread count: workers record pure per-state / per-pair outcomes
-  // and a canonical replay renumbers states and reproduces the serial
-  // schedule exactly (see docs/PERFORMANCE.md §6).
+  // Worker threads for frontier expansion and the per-state signature pass
+  // (0 = all hardware threads). Expansion runs on a work-stealing frontier
+  // with a sharded concurrent store; the report is nonetheless
+  // byte-identical for every thread count: workers record pure per-state
+  // outcomes and a canonical replay renumbers states and reproduces the
+  // serial schedule exactly (see docs/PERFORMANCE.md §6).
   int threads = 1;
   // Perturbs the steal-victim order (not the workload). Any seed must yield
   // a byte-identical report; the schedule-perturbation tests sweep this.
@@ -67,17 +71,20 @@ struct ExhaustiveReport {
   // tables and hash indexes) at the end of the run — the checker keeps no
   // live machine per state, so this is the scaling-relevant number.
   std::size_t peak_state_bytes = 0;
-  // RestoreFullState calls of the SERIAL-EQUIVALENT schedule: the canonical
-  // replay reconstructs exactly how many restores the serial dispatch order
-  // performs, so this is deterministic for a given system and options
-  // regardless of thread count or steal schedule. Actual per-worker restore
-  // counts (which include stealing overshoot on truncated runs) are
-  // exported as `exhaustive.workerN.restores` gauges instead.
+  // RestoreFullState calls, deterministic for a given system and options
+  // regardless of thread count or steal schedule. Exploration counts those
+  // of the SERIAL-EQUIVALENT schedule (the canonical replay reconstructs how
+  // many restores the serial dispatch order performs); the pair phase counts
+  // the restores it makes, a fixed 1 + u_c × (inputs_per_unit + 1) per
+  // state for each colour c it reaches, where u_c is the number of colour-c
+  // units. Actual per-worker restore counts (which include stealing
+  // overshoot on truncated runs) are exported as
+  // `exhaustive.workerN.restores` gauges instead.
   std::uint64_t restore_count = 0;
   // Exploration-balance diagnostics (schedule-dependent by nature; compare
   // them across runs only qualitatively). Also exported as gauges so
   // `sep_trace --format metrics` shows them.
-  std::uint64_t steal_count = 0;          // successful deque steals, both phases
+  std::uint64_t steal_count = 0;          // successful deque steals (exploration)
   std::size_t shard_max_load = 0;         // most populated state shard
   std::vector<std::uint64_t> worker_expanded;  // stealing-phase expansions per worker
 

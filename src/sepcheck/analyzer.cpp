@@ -400,12 +400,12 @@ class ProgramAnalyzer {
 
   // Applies `s_value REL d_value` to the CMP sides recorded in the flags:
   // narrows the interval of each live side and the difference constraint
-  // between two live sides.
+  // between two distinct live registers (CMP Rn, Rn relates no pair).
   bool ApplyCmp(AbsState& st, CmpRel rel) const {
     const FlagsSrc& f = st.flags;
     AbsVal sv = f.s_reg >= 0 ? st.regs[f.s_reg] : f.s_val;
     AbsVal dv = f.d_reg >= 0 ? st.regs[f.d_reg] : f.d_val;
-    const bool both = f.s_reg >= 0 && f.d_reg >= 0;
+    const bool both = f.s_reg >= 0 && f.d_reg >= 0 && f.s_reg != f.d_reg;
     constexpr std::int32_t kInf = RelBound::kInf;
     switch (rel) {
       case CmpRel::kNone:

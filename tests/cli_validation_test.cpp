@@ -265,6 +265,47 @@ TEST(CliValidation, SepcheckJsonEscapesAnnotationControlBytes) {
   EXPECT_TRUE(ledger_doc.ok()) << ledger_doc.error();
 }
 
+TEST(CliValidation, SepcheckJsonReplacesInvalidUtf8InAnnotations) {
+  // A byte that is not UTF-8 (0xFF) in annotation text must not reach the
+  // JSON: it is written as \ufffd, so every line is valid UTF-8 for any
+  // reader. A ledger edited by hand to hold the raw byte is rejected.
+  const std::string guest = WriteProgram("ff_annotation.s",
+                                         "START:  MOV #0x100, R4\n"
+                                         "LOOP:   MOV R1, (R4)  ; sepcheck: trust bounded\xff here\n"
+                                         "        INC R4\n"
+                                         "        BR LOOP\n"
+                                         "; sepcheck: bogus\xff directive\n");
+  const std::string dir = testing::TempDir();
+  const std::string out = dir + "/ff_annotation.jsonl";
+  const std::string ledger = dir + "/ff_annotation_ledger.json";
+  RunToolRaw(Tool("sepcheck") + " --json --obligations " + ledger + " " + guest + " >" + out +
+             " 2>/dev/null");
+  const std::string text = Slurp(out);
+  ASSERT_NE(text.find("\\ufffd"), std::string::npos) << text;
+  EXPECT_EQ(text.find('\xff'), std::string::npos);
+  int lines = 0;
+  for (const std::string& line : Split(text, '\n')) {
+    if (line.empty()) continue;
+    ++lines;
+    const Result<JsonValue> doc = ParseJson(line);
+    EXPECT_TRUE(doc.ok()) << doc.error() << "\n" << line;
+  }
+  EXPECT_GT(lines, 0);
+  const std::string ledger_text = Slurp(ledger);
+  EXPECT_EQ(ledger_text.find('\xff'), std::string::npos);
+  EXPECT_TRUE(ParseJson(ledger_text).ok());
+
+  const std::string edited = dir + "/ff_edited_ledger.json";
+  std::string forged = ledger_text;
+  const std::size_t at = forged.find("\\ufffd");
+  ASSERT_NE(at, std::string::npos);
+  forged.replace(at, 6, "\xff");
+  std::ofstream(edited) << forged;
+  const std::string err = dir + "/ff_edited_ledger.err";
+  EXPECT_EQ(RunToolRaw(Tool("check_obligations") + " " + edited + " >/dev/null 2>" + err), 1);
+  EXPECT_NE(Slurp(err).find("invalid UTF-8"), std::string::npos) << Slurp(err);
+}
+
 TEST(CliValidation, FailedWritesExitTwo) {
   // /dev/full accepts the open and fails the flush: a tool that does not
   // check its close would report success with nothing written.

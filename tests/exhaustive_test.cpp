@@ -130,6 +130,33 @@ TEST(Exhaustive, ParallelReportMatchesSerialUnderStateBudget) {
   ExpectIdenticalReports(serial, parallel);
 }
 
+TEST(Exhaustive, PairPhaseRestoresAFixedNumberPerState) {
+  // A complete run restores each state once to expand it plus once per
+  // successor (the operation, each input into each unit, each unit step).
+  // The pair phase then restores each state 1 + u_c × (inputs + 1) times
+  // per colour c, where u_c counts colour c's units, and never per pair.
+  const TinySystem system(false);
+  for (int threads : {1, 4}) {
+    ExhaustiveOptions options;
+    options.threads = threads;
+    const ExhaustiveReport report = CheckSeparabilityExhaustive(system, options);
+    ASSERT_TRUE(report.complete);
+    const std::uint64_t n = report.states_explored;
+    const std::uint64_t units = static_cast<std::uint64_t>(system.UnitCount());
+    const std::uint64_t inputs = static_cast<std::uint64_t>(options.inputs_per_unit);
+    const std::uint64_t exploration = n * (1 + 1 + units * inputs + units);
+    std::uint64_t pair_phase = 0;
+    for (int c = 0; c < system.ColourCount(); ++c) {
+      std::uint64_t units_of_colour = 0;
+      for (int unit = 0; unit < system.UnitCount(); ++unit) {
+        units_of_colour += system.UnitColour(unit) == c ? 1 : 0;
+      }
+      pair_phase += n * (1 + units_of_colour * (inputs + 1));
+    }
+    EXPECT_EQ(report.restore_count, exploration + pair_phase) << "threads=" << threads;
+  }
+}
+
 TEST(Exhaustive, ZeroThreadsMeansHardwareConcurrency) {
   ExhaustiveOptions opts;
   opts.threads = 0;  // all hardware threads

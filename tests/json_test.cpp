@@ -37,11 +37,45 @@ TEST(JsonEscape, ShortFormsAndControlBytes) {
 }
 
 TEST(JsonEscape, EveryByteRoundTrips) {
+  // Every byte value that can occur in well-formed UTF-8 comes back: each
+  // ASCII byte alone, 0x80-0xBF as continuation bytes and 0xC2-0xF4 as
+  // lead bytes. C0, C1 and F5-FF occur in no well-formed sequence; each
+  // becomes U+FFFD.
   std::string all;
-  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
-  const Result<JsonValue> doc = ParseJson("\"" + Escaped(all) + "\"");
+  for (int b = 0; b < 0x80; ++b) all += static_cast<char>(b);
+  for (int b = 0x80; b <= 0xBF; ++b) all += std::string("\xe0\xa0") + static_cast<char>(b);
+  for (int b = 0xC2; b <= 0xDF; ++b) all += std::string(1, static_cast<char>(b)) + "\x80";
+  for (int b = 0xE1; b <= 0xEF; ++b) all += std::string(1, static_cast<char>(b)) + "\x9f\xbf";
+  for (int b = 0xF0; b <= 0xF4; ++b) {
+    all += std::string(1, static_cast<char>(b)) + (b == 0xF0 ? "\x90" : "\x8f") + "\x80\x80";
+  }
+  Result<JsonValue> doc = ParseJson("\"" + Escaped(all) + "\"");
   ASSERT_TRUE(doc.ok()) << doc.error();
   EXPECT_EQ(doc->str, all);
+
+  std::string never;
+  std::string replaced;
+  for (int b : {0xC0, 0xC1, 0xF5, 0xF6, 0xF7, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD, 0xFE, 0xFF}) {
+    never += static_cast<char>(b);
+    replaced += "\xef\xbf\xbd";
+  }
+  doc = ParseJson("\"" + Escaped(never) + "\"");
+  ASSERT_TRUE(doc.ok()) << doc.error();
+  EXPECT_EQ(doc->str, replaced);
+}
+
+TEST(JsonEscape, IllFormedUtf8BecomesReplacementPerByte) {
+  EXPECT_EQ(Escaped("a\xff" "b"), "a\\ufffdb");
+  EXPECT_EQ(Escaped("\x80"), "\\ufffd");                          // lone continuation
+  EXPECT_EQ(Escaped("\xe2\x82"), "\\ufffd\\ufffd");                // truncated
+  EXPECT_EQ(Escaped("\xe2\x82x"), "\\ufffd\\ufffdx");
+  EXPECT_EQ(Escaped("\xc0\xaf"), "\\ufffd\\ufffd");                // overlong '/'
+  EXPECT_EQ(Escaped("\xe0\x80\xaf"), "\\ufffd\\ufffd\\ufffd");      // overlong, 3 bytes
+  EXPECT_EQ(Escaped("\xed\xa0\x80"), "\\ufffd\\ufffd\\ufffd");      // encoded surrogate
+  EXPECT_EQ(Escaped("\xf4\x90\x80\x80"), "\\ufffd\\ufffd\\ufffd\\ufffd");  // above U+10FFFF
+  // Well-formed neighbours stay raw.
+  EXPECT_EQ(Escaped("\xc3\xa9\xff\xe2\x82\xac"), "\xc3\xa9\\ufffd\xe2\x82\xac");
+  EXPECT_EQ(Escaped("\xf0\x9f\x98\x80\xed\x9f\xbf"), "\xf0\x9f\x98\x80\xed\x9f\xbf");
 }
 
 TEST(JsonReader, BuildsTheTree) {
@@ -101,6 +135,19 @@ TEST(JsonReader, RejectsMalformedText) {
   ExpectParseError("1e", "bad number");
   ExpectParseError("+1", "unexpected character");
   ExpectParseError("NaN", "unexpected character");
+}
+
+TEST(JsonReader, RejectsIllFormedUtf8InStrings) {
+  for (const char* bad : {"\"\xff\"", "\"\x80\"", "\"ok \xbf\"", "\"\xc0\xaf\"",
+                          "\"\xe0\x80\xaf\"", "\"\xf0\x80\x80\xaf\"", "\"\xed\xa0\x80\"",
+                          "\"\xed\xbf\xbf\"", "\"\xf4\x90\x80\x80\"", "\"\xe2\x82\"",
+                          "{\"k\xfe\": 1}"}) {
+    SCOPED_TRACE(bad);
+    ExpectParseError(bad, "invalid UTF-8 in string");
+  }
+  const Result<JsonValue> doc = ParseJson("\"\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\"");
+  ASSERT_TRUE(doc.ok()) << doc.error();
+  EXPECT_EQ(doc->str, "\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
 }
 
 TEST(JsonReader, OutOfRangeNumbersAreErrorsNotExceptions) {

@@ -280,6 +280,36 @@ TEST(Soundness, SignedBranchesRefineOnlyWhenBothSidesAreSmall) {
   EXPECT_FALSE(a.Certified());
 }
 
+TEST(Soundness, SelfComparisonIsNotARelation) {
+  // CMP Rn, Rn compares one register with itself: there is no pair of
+  // registers to constrain. RelSet::Index(n, n) is undefined (-1 for R0, an
+  // out-of-bounds slot; an unrelated pair for the others), so the
+  // relational refinement must not run for it.
+  for (const char* reg : {"R0", "R3"}) {
+    const std::string source = std::string("START: CMP ") + reg + ", " + reg +
+                               "\n"
+                               "       BNE START\n"
+                               "       BR START\n";
+    ProgramAnalysis a = Analyze(source);
+    EXPECT_TRUE(a.Certified()) << reg << "\n" << FormatFindings(a.findings, false);
+  }
+}
+
+TEST(Soundness, SelfComparisonAddsNoFactAboutOtherRegisters) {
+  // CMP R3, R3 is always equal. Index(3, 3) aliases the R2 - SP slot, so a
+  // refinement on the BEQ edge would record R2 == SP and let the unknown
+  // R2 inherit SP's bound. The store through R2 must stay flagged.
+  ProgramAnalysis a = Analyze(
+      "START: MOV #0x100, SP\n"
+      "       MOV @0x80, R2\n"
+      "       CMP R3, R3\n"
+      "       BEQ NEXT\n"
+      "       TRAP 7\n"
+      "NEXT:  MOV R5, (R2)\n"
+      "       TRAP 7\n");
+  EXPECT_FALSE(a.Certified());
+}
+
 // --- stale annotations ---------------------------------------------------
 
 TEST(StaleAnnotations, UnknownDirectiveIsFlagged) {

@@ -9,7 +9,9 @@
 // equivalence above is exactly as trustworthy as that inverse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "src/base/thread_pool.h"
@@ -65,8 +67,7 @@ std::string Render(const ExhaustiveReport& r) {
   return out;
 }
 
-std::string Check(const SharedSystem& system, int threads) {
-  ExhaustiveOptions options;
+std::string Check(const SharedSystem& system, int threads, ExhaustiveOptions options = {}) {
   options.threads = threads;
   return Render(CheckSeparabilityExhaustive(system, options));
 }
@@ -173,6 +174,195 @@ TEST(StorageEquivalence, SchedulePerturbationOnWiderStateSpace) {
               kGoldenTinySecure)
         << "seed=" << seed;
   }
+}
+
+// --- pair-phase paths ------------------------------------------------------
+//
+// Goldens captured from the checker that re-ran both states of every pair,
+// before pairs were compared by per-state effect signatures: violations of
+// conditions 3, 5 and 6, a max_violations cut inside the pair phase and a
+// max_pairs_per_group cap.
+
+// A two-colour system with one word, `hidden_`, outside every Φ^c: each
+// operation advances it mod 3 (so it is not a function of COLOUR). Each
+// variant lets one effect read it, so that effect differs across Φ-equal
+// states: NEXTOP (condition 6), the effect of an input (condition 3) or a
+// unit's output (condition 5). Nothing else leaks, so the exploration-phase
+// conditions 2 and 4 pass and every violation comes from the pair phase.
+class HiddenWordSystem : public SharedSystem {
+ public:
+  enum class Leak { kNextOp, kInput, kOutput };
+  explicit HiddenWordSystem(Leak leak) : leak_(leak) {}
+
+  std::unique_ptr<SharedSystem> Clone() const override {
+    return std::make_unique<HiddenWordSystem>(*this);
+  }
+  int ColourCount() const override { return 2; }
+  std::string ColourName(int colour) const override { return colour == 0 ? "red" : "black"; }
+  int Colour() const override { return turn_; }
+
+  OperationId NextOperation() const override {
+    OperationId op{OperationId::Kind::kInstruction, {counter_[turn_]}};
+    if (leak_ == Leak::kNextOp) {
+      op.detail.push_back(hidden_);
+    }
+    return op;
+  }
+
+  void ExecuteOperation() override {
+    counter_[turn_] = static_cast<Word>((counter_[turn_] + 1) & 1);
+    hidden_ = static_cast<Word>((hidden_ + 1) % 3);
+    turn_ = 1 - turn_;
+  }
+
+  AbstractState Abstract(int colour) const override {
+    return AbstractState{{counter_[colour], cell_[colour], inbox_[colour]}};
+  }
+
+  int UnitCount() const override { return 2; }
+  int UnitColour(int unit) const override { return unit; }
+  std::string UnitName(int unit) const override { return "cell" + std::to_string(unit); }
+
+  void StepUnit(int unit) override {
+    if (inbox_[unit] != 0) {
+      out_[unit] = cell_[unit];
+      has_out_[unit] = 1;
+      cell_[unit] = inbox_[unit];
+      inbox_[unit] = 0;
+    }
+  }
+
+  void InjectInput(int unit, Word value) override {
+    const Word bias = leak_ == Leak::kInput ? hidden_ : 0;
+    inbox_[unit] = static_cast<Word>((value + bias) & 3);
+  }
+
+  std::vector<Word> DrainOutput(int unit) override {
+    if (has_out_[unit] == 0) {
+      return {};
+    }
+    has_out_[unit] = 0;
+    const Word bias = leak_ == Leak::kOutput ? hidden_ : 0;
+    return {static_cast<Word>(out_[unit] ^ bias)};
+  }
+
+  void PerturbOthers(int colour, Rng& rng) override {
+    hidden_ = static_cast<Word>(rng.NextBelow(3));
+    counter_[1 - colour] = static_cast<Word>(rng.Next() & 1);
+  }
+
+  std::optional<std::vector<Word>> FullState() const override {
+    return std::vector<Word>{static_cast<Word>(turn_), hidden_, counter_[0], counter_[1],
+                             cell_[0],  cell_[1],  inbox_[0],  inbox_[1],
+                             out_[0],   out_[1],   has_out_[0], has_out_[1]};
+  }
+
+  bool RestoreFullState(std::span<const Word> state) override {
+    if (state.size() != 12) {
+      return false;
+    }
+    turn_ = state[0];
+    hidden_ = state[1];
+    std::copy(state.begin() + 2, state.begin() + 4, counter_);
+    std::copy(state.begin() + 4, state.begin() + 6, cell_);
+    std::copy(state.begin() + 6, state.begin() + 8, inbox_);
+    std::copy(state.begin() + 8, state.begin() + 10, out_);
+    std::copy(state.begin() + 10, state.begin() + 12, has_out_);
+    return true;
+  }
+
+ private:
+  Leak leak_;
+  int turn_ = 0;
+  Word hidden_ = 0;
+  Word counter_[2] = {0, 0};
+  Word cell_[2] = {0, 0};
+  Word inbox_[2] = {0, 0};
+  Word out_[2] = {0, 0};
+  Word has_out_[2] = {0, 0};
+};
+
+// Repeats one violation line `count` times.
+std::string Repeated(const std::string& line, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) {
+    out += line;
+  }
+  return out;
+}
+
+const std::string kGoldenHiddenNextOp = [] {
+  std::string golden =
+      "5292 states, 37044 transitions, 60 pairs, COMPLETE: "
+      "C1 0/36 C2 0/5292 C3 0/180 C4 0/31752 C5 0/60 C6 16/36 => VIOLATIONS\n"
+      "transitions=37044 pairs=60\n";
+  // The hidden word of the second state of each failing pair.
+  for (const char* hidden : {"0001", "0001", "0001", "0001", "0001", "0001", "0001", "0001",
+                             "0001", "0002", "0001", "0001", "0001", "0001", "0002", "0002"}) {
+    golden += std::string("V c6 colour0 step0 NEXTOP differs for Φ-equal states of colour 0: "
+                          "insn 0000 0000 vs insn 0000 ") +
+              hidden + "\n";
+  }
+  return golden;
+}();
+
+const std::string kGoldenHiddenInput =
+    "32448 states, 227136 transitions, 44 pairs, COMPLETE: "
+    "C1 0/27 C2 0/32448 C3 16/132 C4 0/194688 C5 0/44 C6 0/27 => VIOLATIONS\n"
+    "transitions=227136 pairs=44\n" +
+    Repeated("V c3 colour0 step0 input effect on colour 0 differs across Φ-equal states\n", 16);
+
+const std::string kGoldenHiddenOutput =
+    "5292 states, 37044 transitions, 4145 pairs, COMPLETE: "
+    "C1 0/1413 C2 0/5292 C3 0/12435 C4 0/31752 C5 16/4145 C6 0/1413 => VIOLATIONS\n"
+    "transitions=37044 pairs=4145\n" +
+    Repeated("V c5 colour0 step0 output of colour 0 differs across Φ-equal states\n", 16);
+
+// max_violations = 3 on the input leak: the pair that reaches the cut fails
+// both of its input checks, so the pair phase stops with 4 violations
+// counted and 3 listed.
+const std::string kGoldenHiddenInputCut =
+    "32448 states, 227136 transitions, 18 pairs, COMPLETE: "
+    "C1 0/14 C2 0/32448 C3 4/54 C4 0/194688 C5 0/18 C6 0/14 => VIOLATIONS\n"
+    "transitions=227136 pairs=18\n" +
+    Repeated("V c3 colour0 step0 input effect on colour 0 differs across Φ-equal states\n", 3);
+
+constexpr char kGoldenTinyCapped[] =
+    "3528 states, 24696 transitions, 216 pairs, COMPLETE: "
+    "C1 0/27 C2 0/3528 C3 0/648 C4 0/21168 C5 0/216 C6 0/27 => SEPARABLE\n"
+    "transitions=24696 pairs=216\n";
+
+TEST(StorageEquivalence, HiddenNextOpViolatesConditionSixMatchesGolden) {
+  const HiddenWordSystem system(HiddenWordSystem::Leak::kNextOp);
+  EXPECT_EQ(Check(system, 1), kGoldenHiddenNextOp);
+  EXPECT_EQ(Check(system, 4), kGoldenHiddenNextOp);
+}
+
+TEST(StorageEquivalence, HiddenInputViolatesConditionThreeMatchesGolden) {
+  const HiddenWordSystem system(HiddenWordSystem::Leak::kInput);
+  EXPECT_EQ(Check(system, 1), kGoldenHiddenInput);
+  EXPECT_EQ(Check(system, 4), kGoldenHiddenInput);
+}
+
+TEST(StorageEquivalence, HiddenOutputViolatesConditionFiveMatchesGolden) {
+  const HiddenWordSystem system(HiddenWordSystem::Leak::kOutput);
+  EXPECT_EQ(Check(system, 1), kGoldenHiddenOutput);
+  EXPECT_EQ(Check(system, 4), kGoldenHiddenOutput);
+}
+
+TEST(StorageEquivalence, MaxViolationsCutInsidePairPhaseMatchesGolden) {
+  const HiddenWordSystem system(HiddenWordSystem::Leak::kInput);
+  ExhaustiveOptions options;
+  options.max_violations = 3;
+  EXPECT_EQ(Check(system, 1, options), kGoldenHiddenInputCut);
+  EXPECT_EQ(Check(system, 4, options), kGoldenHiddenInputCut);
+}
+
+TEST(StorageEquivalence, MaxPairsPerGroupMatchesGolden) {
+  ExhaustiveOptions options;
+  options.max_pairs_per_group = 3;
+  EXPECT_EQ(Check(TinyTwoUserSystem(false), 1, options), kGoldenTinyCapped);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false), 4, options), kGoldenTinyCapped);
 }
 
 TEST(StorageEquivalence, StoreDiagnosticsAreDeterministic) {

@@ -90,16 +90,19 @@ sep::JsonValue RunBench(const std::string& command) {
   return std::move(*doc);
 }
 
-// Maps benchmark name -> the numeric `field` of its result object (e.g.
-// "items_per_second", or a user counter like "bytes_per_state").
+// Maps benchmark name -> the numeric `field` of its median aggregate over
+// the repetitions (e.g. "items_per_second", or a user counter like
+// "bytes_per_state").
 std::map<std::string, double> BenchField(const sep::JsonValue& doc, const char* field) {
   std::map<std::string, double> result;
   const sep::JsonValue* benchmarks = doc.Find("benchmarks");
   if (benchmarks == nullptr) return result;
   for (const sep::JsonValue& run : benchmarks->items) {
-    const sep::JsonValue* name = run.Find("name");
+    const sep::JsonValue* name = run.Find("run_name");
+    const sep::JsonValue* aggregate = run.Find("aggregate_name");
     const sep::JsonValue* value = run.Find(field);
-    if (name != nullptr && value != nullptr && value->IsNumber()) {
+    if (name != nullptr && aggregate != nullptr && aggregate->str == "median" &&
+        value != nullptr && value->IsNumber()) {
       result[name->str] = value->AsDouble();
     }
   }
@@ -214,23 +217,23 @@ int main(int argc, char** argv) {
       opt.compare.empty() ? sep::JsonValue() : LoadBaseline(opt.compare);
   const int threads = static_cast<int>(std::thread::hardware_concurrency());
   const int jobs = opt.jobs > 0 ? opt.jobs : std::max(threads, 1);
-  // Smoke mode trades precision for runtime so CI can gate on it.
-  const char* min_time = opt.smoke ? "0.05" : "0.5";
+  // Smoke mode trades precision for runtime so CI can gate on it. Every
+  // benchmark runs three times and reports its median: one short run of a
+  // ratio's two sides can land in different slow stretches of a shared host.
+  const std::string bench_flags =
+      std::string(" --benchmark_format=json --benchmark_repetitions=3"
+                  " --benchmark_report_aggregates_only=true --benchmark_min_time=") +
+      (opt.smoke ? "0.05" : "0.5");
   const int sepcheck_runs = opt.smoke ? 3 : 15;
 
-  const std::string machine =
-      opt.bindir + "/bench/bench_machine --benchmark_format=json --benchmark_min_time=" +
-      min_time + " --benchmark_filter='BM_InstructionThroughput|BM_KernelizedStep'";
-  const std::string separability =
-      opt.bindir +
-      "/bench/bench_separability --notables --benchmark_format=json --benchmark_min_time=" +
-      min_time + " --benchmark_filter='BM_Exhaustive'";
+  const std::string machine = opt.bindir + "/bench/bench_machine" + bench_flags +
+                              " --benchmark_filter='BM_InstructionThroughput|BM_KernelizedStep'";
+  const std::string separability = opt.bindir + "/bench/bench_separability --notables" +
+                                   bench_flags + " --benchmark_filter='BM_Exhaustive'";
   const std::string recovery =
-      opt.bindir + "/bench/bench_recovery --benchmark_format=json --benchmark_min_time=" +
-      min_time + " --benchmark_filter='BM_RecoveryChaos'";
+      opt.bindir + "/bench/bench_recovery" + bench_flags + " --benchmark_filter='BM_RecoveryChaos'";
   const std::string channels =
-      opt.bindir + "/bench/bench_channels --benchmark_format=json --benchmark_min_time=" +
-      min_time + " --benchmark_filter='BM_Channel'";
+      opt.bindir + "/bench/bench_channels" + bench_flags + " --benchmark_filter='BM_Channel'";
 
   std::fprintf(stderr, "bench_report: running bench_machine...\n");
   const std::map<std::string, double> m1 = BenchField(RunBench(machine), "items_per_second");
