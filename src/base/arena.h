@@ -12,7 +12,7 @@
 // HashIndex itself is not thread-safe for writes (Find() is safe
 // concurrently with other Find()s). ShardedIndex below wraps a fixed set
 // of independently locked HashIndex shards routed by the top bits of the
-// content hash, which is what the work-stealing checker interns through:
+// content hash, which is what the exhaustive checker interns through:
 // writers contend only when two records hash into the same shard.
 #ifndef SRC_BASE_ARENA_H_
 #define SRC_BASE_ARENA_H_
@@ -94,10 +94,10 @@ class HashIndex {
 //
 // A record's shard is a pure function of its 64-bit content hash (the top
 // kShardBits bits), never of the interning thread — so the sharded layout
-// of a finished store is identical for every steal schedule, which the
-// deterministic post-pass in the exhaustive checker depends on. The shard
-// count is a fixed constant, NOT derived from the thread count, for the
-// same reason.
+// of a finished store is identical for every interleaving of concurrent
+// interns, which the exhaustive checker's deterministic footprint depends
+// on. The shard count is a fixed constant, NOT derived from the thread
+// count, for the same reason.
 //
 // Packed ids carry the shard in the high bits and the shard-local ordinal
 // in the low bits, leaving the sign bit clear so -1 stays usable as the
@@ -128,8 +128,8 @@ inline constexpr std::size_t LocalOfId(std::int32_t packed) {
 // record.
 //
 // Concurrent growth of each shard's HashIndex happens inside that shard's
-// critical section; the tsan matrix job runs tests/work_steal_test.cpp to
-// certify the whole arrangement under race detection.
+// critical section; the tsan matrix job runs tests/base_test.cpp
+// (ShardedIndexTest) to certify the whole arrangement under race detection.
 class ShardedIndex {
  public:
   struct Shard {

@@ -1,7 +1,8 @@
 // A small fixed-size worker pool with a blocking parallel-for.
 //
-// Built for the verification workloads in this repo (parallel exhaustive
-// frontier expansion, Φ-pair checking, sepcheck --jobs): the unit of work is
+// Built for the verification workloads in this repo (the exhaustive
+// checker's per-successor expansion and per-state signature passes,
+// sepcheck --jobs): the unit of work is
 // a pure function of index `i` writing only to its own output slot, and the
 // caller needs a barrier at the end. Determinism is the callers'
 // responsibility and their design: workers compute results into per-index
@@ -85,9 +86,9 @@ class ThreadPool {
 
   // Batch size that adapts to both pool width and problem width: small
   // enough that every thread gets several blocks (load balance against
-  // uneven bodies), large enough to amortize the shared cursor. The old
-  // checker used a fixed 64-state dispatch batch, which starved wide pools
-  // on narrow BFS levels.
+  // uneven bodies), large enough to amortize the shared cursor. The
+  // exhaustive checker's loops range from a few successors of one state to
+  // hundreds of thousands of states, so no fixed grain suits both.
   static std::size_t AdaptiveGrain(std::size_t n, int threads) {
     if (threads <= 1 || n == 0) {
       return n == 0 ? 1 : n;

@@ -15,7 +15,6 @@
 #include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
-#include "src/base/work_steal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -23,54 +22,38 @@ namespace sep {
 
 namespace {
 
-// The checker is parallel but its report is deterministic BY CONSTRUCTION,
-// in two layers:
+// The checker is parallel but its report is deterministic by construction.
 //
-//   1. Work-stealing exploration (schedule-dependent, result-pure). Workers
-//      pull states from per-worker Chase–Lev deques (src/base/work_steal.h),
-//      expand them, and intern every successor into a sharded
-//      content-addressed store (ShardedStateStore below). A state's packed
-//      id and shard are pure functions of its serialized content, never of
-//      the interning thread. Each fresh state is expanded exactly once (the
-//      thread whose intern was fresh re-enqueues it). Workers record, per
-//      expanded state, the packed ids of its successors plus any FAILED
-//      per-transition checks; passing checks are never materialized — the
-//      check sequence of a successor is synthesizable from its ordinal.
-//
-//   2. Canonical replay (schedule-independent). After the stealing pool
-//      drains, a single merge thread replays the exact level-synchronous
-//      serial algorithm over the recorded successor lists: same FIFO id
-//      assignment, same kLevelChunk dispatch granularity, same
-//      overflow-before-intern and max_violations early-stop semantics, same
-//      per-level heartbeat trace events. The replay therefore produces the
-//      report — ids, violation order, truncation points, transition counts —
-//      that a 1-thread run of the pre-stealing checker produced, regardless
-//      of thread count or steal schedule. If the replay needs a state the
-//      stealing phase never expanded (early stop drained it), it expands it
-//      on demand on the merge thread. If the stealing phase overshot a
-//      truncated run (discovered more states than the canonical set), the
-//      store is rebuilt with only canonical states in canonical order so
-//      peak_state_bytes stays schedule-independent too.
+// Exploration is a level-synchronous BFS driven by the calling thread. Each
+// kLevelChunk-state chunk of the current level is expanded by one parallel
+// loop whose task is one (state, successor ordinal) pair: restore the state
+// into the worker's scratch system, apply the operation, the input or the
+// unit step, evaluate the transition's checks of conditions (2) and (4),
+// serialize the successor and intern it into a sharded content-addressed
+// store (ShardedStateStore below). Each task writes only its own slot. The
+// calling thread then merges the chunk's slots in serial order: FIFO
+// canonical ids, the state budget checked before a state is admitted, the
+// max_violations cut and one heartbeat per level. The merge sees the same
+// slots at every thread count, so ids, violation order, truncation points
+// and counters never depend on the schedule. A state's packed id does (it
+// is shard-local), which is why the report only ever shows canonical ids.
 //
 // Pair checking needs no schedule of its own: one parallel pass per colour
 // computes every state's effect signature, and the merge thread compares
 // stored signatures pair by pair (CheckPairs).
 //
-// restore_count reports the SERIAL-EQUIVALENT exploration cost (the number
-// of RestoreFullState calls the canonical serial schedule performs) plus the
-// signature passes' restores, a fixed number per state; both are
-// independent of thread count. The actual per-worker restore counts — which
-// include stealing overshoot — are exported as per-worker gauges instead.
+// restore_count is the number of RestoreFullState calls made: one per
+// successor of every dispatched state, plus the signature passes' fixed
+// number per state. Every dispatched chunk is expanded exactly once, so the
+// count is the same at every thread count.
 //
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; workers reconstruct live
 // machines on demand (RestoreFullState) into per-worker scratch instances.
 
 constexpr std::size_t kChunkWords = 64;
-// States merged per canonical-replay batch. This is the granularity at
-// which the serial checker dispatched expansion work, and the goldens pin
-// its stop semantics (restore counts, truncation points), so the replay
-// keeps it even though the stealing pool no longer batches.
+// States expanded per parallel loop and then merged. The goldens pin its
+// stop semantics (restore counts, truncation points).
 constexpr std::size_t kLevelChunk = 64;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
@@ -84,7 +67,7 @@ Word SaturateWord(std::size_t value) {
 // offsets; each distinct chunk is stored once. Chunks and states live in
 // separate shard spaces, each routed by the top bits of the content hash
 // (ShardForHash), so the layout of a finished store is a pure function of
-// the state SET — identical for every steal schedule.
+// the state SET — identical for every interleaving of concurrent interns.
 //
 // A state record is its packed chunk-ref list plus exact word count. Because
 // chunk ids are content-addressed within a run, two equal serializations
@@ -208,8 +191,38 @@ class ShardedStateStore {
     SEP_CHECK(out.size() == len);
   }
 
-  std::uint64_t StateHash(std::int32_t packed) const {
-    return state_data_[ShardOfId(packed)].hashes[LocalOfId(packed)];
+  // Single-threaded. A new store holding only `states` (packed ids here,
+  // rewritten in place to their ids in the new store), interned in that
+  // order. Stored hashes are reused and each chunk is copied once, so no
+  // word is hashed or compared again.
+  std::unique_ptr<ShardedStateStore> CopyStates(std::vector<std::int32_t>& states) const {
+    auto copy = std::make_unique<ShardedStateStore>();
+    std::array<std::vector<std::int64_t>, kShardCount> copied_chunk;  // our ref -> copy's
+    for (std::size_t s = 0; s < kShardCount; ++s) {
+      copied_chunk[s].assign(chunk_data_[s].hashes.size(), -1);
+    }
+    std::vector<std::uint32_t> refs;
+    for (std::int32_t& packed : states) {
+      const StateShardData& sd = state_data_[ShardOfId(packed)];
+      const std::size_t local = LocalOfId(packed);
+      refs.clear();
+      for (std::uint32_t i = sd.ref_offsets[local]; i < sd.ref_offsets[local + 1]; ++i) {
+        const std::int32_t ref = static_cast<std::int32_t>(sd.chunk_refs[i]);
+        const ChunkShardData& cd = chunk_data_[ShardOfId(ref)];
+        const std::size_t cl = LocalOfId(ref);
+        std::int64_t& mapped = copied_chunk[ShardOfId(ref)][cl];
+        if (mapped < 0) {
+          mapped = copy->InternChunk(cd.hashes[cl], cd.words.data() + cd.offsets[cl],
+                                     cd.offsets[cl + 1] - cd.offsets[cl]);
+        }
+        refs.push_back(static_cast<std::uint32_t>(mapped));
+      }
+      const InternedState interned =
+          copy->InternState(sd.hashes[local], refs.data(), refs.size(), sd.lens[local]);
+      SEP_CHECK(interned.fresh);
+      packed = interned.id;
+    }
+    return copy;
   }
 
   std::size_t shard_max_load() const { return state_index_.max_load(); }
@@ -290,33 +303,12 @@ std::uint32_t InternChunkCached(ShardedStateStore& store, ChunkCache& cache, con
   return ref;
 }
 
-// One FAILED check, recorded by a worker. Passing checks are never stored:
-// the canonical replay synthesizes the full check sequence from the
-// per-successor check counts and splices the recorded failures in at their
-// successor ordinals.
-struct FailRec {
-  std::uint32_t ordinal = 0;  // successor position within the expansion
-  std::int16_t condition = 0;
-  std::int16_t colour = kColourNone;
-  std::string description;
-};
-
-// One expanded state: a slice of the owning worker's flat succs/fails logs.
-struct ExpandRec {
-  std::int32_t from = -1;  // packed state id
-  std::uint32_t succ_begin = 0;
-  std::uint32_t succ_end = 0;
-  std::uint32_t fail_begin = 0;
-  std::uint32_t fail_end = 0;
-};
-
-// Append-only per-worker recording; owned by exactly one pool thread during
-// exploration, read by the merge thread after the pool barrier.
-struct WorkerLog {
-  std::vector<ExpandRec> recs;
-  std::vector<std::int32_t> succs;        // packed successor ids
-  std::vector<std::uint8_t> succ_checks;  // checks evaluated per successor
-  std::vector<FailRec> fails;             // ordinal = successor ordinal
+// One successor's outcome. Written by exactly one task of a chunk's parallel
+// loop, read by the merge thread after the loop's barrier.
+struct SuccessorSlot {
+  std::int32_t id = -1;          // packed id of the successor
+  std::uint32_t checks = 0;      // checks evaluated
+  std::vector<Violation> fails;  // failed checks, in evaluation order
 };
 
 class ExhaustiveRun {
@@ -327,15 +319,14 @@ class ExhaustiveRun {
         store_(std::make_unique<ShardedStateStore>()),
         pool_(options.threads) {
     scratch_.resize(static_cast<std::size_t>(pool_.size()));
-    logs_.resize(static_cast<std::size_t>(pool_.size()));
     colours_ = initial_->ColourCount();
     units_ = initial_->UnitCount();
     // Successors per expansion: the operation, each input value into each
-    // unit, each unit's activity. Constant per system/options, which is what
-    // lets the replay reconstruct the serial restore schedule exactly.
-    fanout_ = 1 + static_cast<std::size_t>(units_) *
-                      static_cast<std::size_t>(options_.inputs_per_unit) +
-              static_cast<std::size_t>(units_);
+    // unit, each unit's activity.
+    input_successors_ =
+        static_cast<std::size_t>(units_) * static_cast<std::size_t>(options_.inputs_per_unit);
+    fanout_ = 1 + input_successors_ + static_cast<std::size_t>(units_);
+    slots_.resize(kLevelChunk * fanout_);
   }
 
   ExhaustiveReport Run() {
@@ -354,16 +345,14 @@ class ExhaustiveRun {
       return std::move(report_);
     }
 
-    const std::int32_t initial_id = InternKey(*init_key);
-    Explore(initial_id);
-    BuildLocator();
-    ReplayExplore(initial_id);
+    Explore(Intern(ScratchHere(), *init_key));
     if (canon_to_packed_.size() != store_->states()) {
-      // Truncated run overshoot: the stealing pool discovered states the
-      // canonical schedule never admits. Rebuild the store with only
-      // canonical states, in canonical order, so peak_state_bytes is a
-      // function of the canonical set alone.
-      RebuildStore();
+      // A cut run's last chunk interned successors the merge never admitted.
+      // Rebuild the store with only the admitted states, in canonical order,
+      // so peak_state_bytes is a function of them alone. The worker chunk
+      // caches hold refs into the old store; nothing interns after this
+      // point, so they are never consulted again.
+      store_ = store_->CopyStates(canon_to_packed_);
     }
     store_->Freeze();
     if (report_.complete || canon_to_packed_.size() <= options_.max_states) {
@@ -372,11 +361,9 @@ class ExhaustiveRun {
 
     report_.states_explored = canon_to_packed_.size();
     report_.peak_state_bytes = store_->bytes();
-    report_.restore_count = sim_restores_;
     report_.shard_max_load = store_->shard_max_load();
-    report_.worker_expanded.resize(scratch_.size());
-    for (std::size_t w = 0; w < scratch_.size(); ++w) {
-      report_.worker_expanded[w] = logs_[w].recs.size();
+    for (const Scratch& sc : scratch_) {
+      report_.restore_count += sc.restores;
     }
     // Gauges are always on (like every other module's counters); only the
     // trace recorder is gated by obs::Enabled().
@@ -385,15 +372,9 @@ class ExhaustiveRun {
     obs::Metrics().GetGauge("exhaustive.pairs_checked").Set(report_.pairs_checked);
     obs::Metrics().GetGauge("exhaustive.restore_count").Set(report_.restore_count);
     obs::Metrics().GetGauge("exhaustive.peak_state_bytes").Set(report_.peak_state_bytes);
-    obs::Metrics().GetGauge("exhaustive.steal_count").Set(report_.steal_count);
     obs::Metrics().GetGauge("exhaustive.shard_max_load").Set(report_.shard_max_load);
-    // Per-worker counters expose exploration balance across the pool:
-    // `expanded` is stealing-phase work done, `restores` the actual (not
-    // serial-equivalent) reconstruction count including overshoot.
+    // Per-worker restores show how the pool shared the work.
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
-      obs::Metrics()
-          .GetGauge(Format("exhaustive.worker%zu.expanded", w))
-          .Set(report_.worker_expanded[w]);
       obs::Metrics()
           .GetGauge(Format("exhaustive.worker%zu.restores", w))
           .Set(scratch_[w].restores);
@@ -402,27 +383,30 @@ class ExhaustiveRun {
   }
 
  private:
-  // Per-worker scratch: two live systems reconstructed on demand plus the
+  // Per-worker scratch: one live system reconstructed on demand plus the
   // reusable buffers of every hot loop. Indexed by the pool's worker index;
   // never touched by two threads at once.
   struct Scratch {
-    std::unique_ptr<SharedSystem> base;  // the "from" state / signature state
-    std::unique_ptr<SharedSystem> work;  // mutated per successor
-    std::vector<Word> key;               // materialized serialization
-    std::vector<Word> ser;               // successor serialization scratch
-    std::vector<Word> phi;               // abstraction scratch
-    std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the from state
-    std::vector<std::uint32_t> refs;            // chunk-ref scratch (materialize)
-    std::vector<std::uint32_t> intern_refs;     // chunk-ref scratch (intern)
+    std::unique_ptr<SharedSystem> sys;  // restored per successor / signature
+    std::vector<Word> key;              // materialized serialization
+    // Exploration only: the packed id whose serialization `key` holds, its
+    // active colour and its per-colour Φ. A worker's consecutive tasks are
+    // mostly successors of one state, so these are reused across them.
+    std::int32_t from = -1;
+    int active = kColourNone;
+    std::vector<std::vector<Word>> before_phi;
+    std::vector<Word> ser;                   // successor serialization scratch
+    std::vector<Word> phi;                   // abstraction scratch
+    std::vector<std::uint32_t> refs;         // chunk-ref scratch (materialize)
+    std::vector<std::uint32_t> intern_refs;  // chunk-ref scratch (intern)
     ChunkCache cache;
     std::uint64_t restores = 0;
   };
 
   Scratch& ScratchHere() {
     Scratch& sc = scratch_[static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex())];
-    if (sc.base == nullptr) {
-      sc.base = initial_->Clone();
-      sc.work = initial_->Clone();
+    if (sc.sys == nullptr) {
+      sc.sys = initial_->Clone();
       sc.before_phi.resize(static_cast<std::size_t>(colours_));
     }
     return sc;
@@ -434,10 +418,8 @@ class ExhaustiveRun {
     ++sc.restores;
   }
 
-  // Chunks `key` and interns the state; any thread. The merge thread calls
-  // it through worker slot 0's scratch.
-  std::int32_t InternKey(const std::vector<Word>& key) {
-    Scratch& sc = ScratchHere();
+  // Chunks `key` and interns the state; any thread.
+  std::int32_t Intern(Scratch& sc, const std::vector<Word>& key) {
     sc.intern_refs.clear();
     for (std::size_t base = 0; base < key.size(); base += kChunkWords) {
       sc.intern_refs.push_back(InternChunkCached(*store_, sc.cache, key.data() + base,
@@ -449,201 +431,78 @@ class ExhaustiveRun {
         .id;
   }
 
-  // --- worker-side pure computation (stealing phase) ---
-
-  // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
-  // against `expected`.
-  static bool SamePhi(const SharedSystem& sys, int colour, std::vector<Word>& buf,
-                      const std::vector<Word>& expected) {
-    buf.clear();
-    sys.AppendAbstract(colour, buf);
-    return buf == expected;
-  }
-
-  // One successor of the state held in sc.base / sc.key: reconstruct it
-  // in sc.work, apply `mutate`, record FAILED checks only, serialize,
-  // intern into the sharded store and log the packed id. If the intern was
-  // fresh, hand the state to the scheduler (exactly one thread sees fresh).
-  template <typename Mutate, typename PerColourCheck>
-  void Successor(Scratch& sc, WorkerLog& log, const ExpandRec& rec, StealScheduler* sched,
-                 int lane, Mutate mutate, PerColourCheck check) {
-    const std::uint32_t ordinal = static_cast<std::uint32_t>(log.succs.size()) - rec.succ_begin;
-    Restore(*sc.work, sc.key, sc);
-    mutate(*sc.work);
-    // The number of checks a successor contributes is NOT a pure function
-    // of its ordinal: a from-state whose active colour is outside the
-    // regime range (e.g. kernel mode) is checked against every colour, not
-    // colours-1 of them. Record the actual count for the replay.
-    log.succ_checks.push_back(check(*sc.work, sc, ordinal));
-    sc.ser.clear();
-    sc.work->AppendFullState(sc.ser);
-    sc.intern_refs.clear();
-    for (std::size_t base = 0; base < sc.ser.size(); base += kChunkWords) {
-      sc.intern_refs.push_back(InternChunkCached(*store_, sc.cache, sc.ser.data() + base,
-                                                 std::min(kChunkWords, sc.ser.size() - base)));
-    }
-    const std::uint64_t hash = HashWords(sc.ser.data(), sc.ser.size());
-    const ShardedStateStore::InternedState interned =
-        store_->InternState(hash, sc.intern_refs.data(), sc.intern_refs.size(), sc.ser.size());
-    log.succs.push_back(interned.id);
-    if (interned.fresh) {
-      if (store_->states() >= options_.max_states) {
-        // Budget heuristic only: the replay decides the true overflow point.
-        stop_.store(true, std::memory_order_relaxed);
-      }
-      if (sched != nullptr && !stop_.load(std::memory_order_relaxed)) {
-        sched->Emit(lane, interned.id);
-      }
-    }
-  }
-
-  // Every successor of one state, in the canonical order the serial checker
-  // generates them: the operation, then each input value into each unit,
-  // then each unit's activity. `sched == nullptr` is the merge thread's
-  // backfill path (record only, no scheduling).
-  void ExpandOne(std::int32_t from, StealScheduler* sched, int lane) {
+  // One task of a chunk's parallel loop: successor `ordinal` of state
+  // `from`. Ordinal 0 is the operation, then come each input value into
+  // each unit, then each unit's activity; the merge counts them in that
+  // order.
+  void ExpandSuccessor(std::int32_t from, std::size_t ordinal, SuccessorSlot& slot) {
     Scratch& sc = ScratchHere();
-    WorkerLog& log = logs_[static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex())];
-    ExpandRec rec;
-    rec.from = from;
-    rec.succ_begin = static_cast<std::uint32_t>(log.succs.size());
-    rec.fail_begin = static_cast<std::uint32_t>(log.fails.size());
+    SharedSystem& sys = *sc.sys;
+    const bool fresh_from = sc.from != from;
+    if (fresh_from) {
+      store_->MaterializeState(from, sc.refs, sc.key);
+      sc.from = from;
+    }
+    Restore(sys, sc.key, sc);
+    if (fresh_from) {
+      sc.active = sys.Colour();
+      for (int c = 0; c < colours_; ++c) {
+        sc.before_phi[static_cast<std::size_t>(c)].clear();
+        sys.AppendAbstract(c, sc.before_phi[static_cast<std::size_t>(c)]);
+      }
+    }
 
-    store_->MaterializeState(from, sc.refs, sc.key);
-    Restore(*sc.base, sc.key, sc);
+    // Apply the transition. It must leave Φ of every colour but `exempt`
+    // unchanged: condition (2) for the operation, (4) for inputs and unit
+    // activity.
+    int condition = 4;
+    int exempt = kColourNone;
+    int unit = 0;
+    if (ordinal == 0) {
+      condition = 2;
+      exempt = sc.active;
+      sys.ExecuteOperation();
+    } else if (ordinal <= input_successors_) {
+      const std::size_t inputs = static_cast<std::size_t>(options_.inputs_per_unit);
+      unit = static_cast<int>((ordinal - 1) / inputs);
+      exempt = initial_->UnitColour(unit);
+      sys.InjectInput(unit, static_cast<Word>((ordinal - 1) % inputs + 1));
+    } else {
+      unit = static_cast<int>(ordinal - 1 - input_successors_);
+      exempt = initial_->UnitColour(unit);
+      sys.StepUnit(unit);
+      (void)sys.DrainOutput(unit);  // keep the state space bounded
+    }
+
+    // The number of checks is not a pure function of the ordinal: a state
+    // whose active colour is outside the regime range (e.g. kernel mode) is
+    // checked against every colour, not colours-1 of them.
+    slot.checks = 0;
+    slot.fails.clear();
     for (int c = 0; c < colours_; ++c) {
-      sc.before_phi[static_cast<std::size_t>(c)].clear();
-      sc.base->AppendAbstract(c, sc.before_phi[static_cast<std::size_t>(c)]);
-    }
-
-    // (a) the operation NEXTOP(s).
-    const int active = sc.base->Colour();
-    Successor(
-        sc, log, rec, sched, lane, [](SharedSystem& sys) { sys.ExecuteOperation(); },
-        [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-          std::uint8_t checks = 0;
-          for (int c = 0; c < colours_; ++c) {
-            if (c == active) {
-              continue;
-            }
-            ++checks;
-            if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
-              log.fails.push_back(
-                  {ordinal, 2, static_cast<std::int16_t>(c),
-                   Format("operation of colour %d changed Φ of colour %d", active, c)});
-            }
-          }
-          return checks;
-        });
-
-    // (b) every input in the alphabet, into every unit.
-    for (int unit = 0; unit < units_; ++unit) {
-      const int owner = initial_->UnitColour(unit);
-      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        Successor(
-            sc, log, rec, sched, lane,
-            [&](SharedSystem& sys) { sys.InjectInput(unit, static_cast<Word>(value)); },
-            [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-              std::uint8_t checks = 0;
-              for (int c = 0; c < colours_; ++c) {
-                if (c == owner) {
-                  continue;
-                }
-                ++checks;
-                if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
-                  log.fails.push_back({ordinal, 4, static_cast<std::int16_t>(c),
-                                       Format("input to unit %d visible to colour %d", unit, c)});
-                }
-              }
-              return checks;
-            });
+      if (c == exempt) {
+        continue;
       }
-    }
-
-    // (c) every unit's activity.
-    for (int unit = 0; unit < units_; ++unit) {
-      const int owner = initial_->UnitColour(unit);
-      Successor(
-          sc, log, rec, sched, lane,
-          [&](SharedSystem& sys) {
-            sys.StepUnit(unit);
-            (void)sys.DrainOutput(unit);  // keep the state space bounded
-          },
-          [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-            std::uint8_t checks = 0;
-            for (int c = 0; c < colours_; ++c) {
-              if (c == owner) {
-                continue;
-              }
-              ++checks;
-              if (!SamePhi(after, c, s.phi, s.before_phi[static_cast<std::size_t>(c)])) {
-                log.fails.push_back(
-                    {ordinal, 4, static_cast<std::int16_t>(c),
-                     Format("activity of unit %d visible to colour %d", unit, c)});
-              }
-            }
-            return checks;
-          });
-    }
-
-    rec.succ_end = static_cast<std::uint32_t>(log.succs.size());
-    rec.fail_end = static_cast<std::uint32_t>(log.fails.size());
-    log.recs.push_back(rec);
-    const std::size_t new_fails = rec.fail_end - rec.fail_begin;
-    if (new_fails > 0 &&
-        fail_count_.fetch_add(new_fails, std::memory_order_relaxed) + new_fails >=
-            static_cast<std::size_t>(options_.max_violations)) {
-      // Violation-budget heuristic; again, the replay decides the true cut.
-      stop_.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  void Explore(std::int32_t initial_id) {
-    StealScheduler sched(pool_.size(), options_.steal_seed);
-    sched.Seed(initial_id);
-    sched.Run(pool_, [&](std::int64_t item, int lane) {
-      if (stop_.load(std::memory_order_relaxed)) {
-        return;  // drained, not expanded; the replay backfills if needed
+      ++slot.checks;
+      sc.phi.clear();
+      sys.AppendAbstract(c, sc.phi);
+      if (sc.phi == sc.before_phi[static_cast<std::size_t>(c)]) {
+        continue;
       }
-      ExpandOne(static_cast<std::int32_t>(item), &sched, lane);
-    });
-    report_.steal_count += sched.steal_count();
-  }
-
-  // --- canonical replay (merge thread only) ---
-
-  // Maps a packed id to its slot in a lazily grown per-shard table
-  // (backfill interns states after the tables were first sized).
-  static std::int64_t& SlotIn(std::array<std::vector<std::int64_t>, kShardCount>& table,
-                              std::int32_t packed) {
-    std::vector<std::int64_t>& shard = table[ShardOfId(packed)];
-    const std::size_t local = LocalOfId(packed);
-    if (local >= shard.size()) {
-      shard.resize(local + 1, -1);
-    }
-    return shard[local];
-  }
-
-  void BuildLocator() {
-    for (std::size_t w = 0; w < logs_.size(); ++w) {
-      for (std::size_t r = 0; r < logs_[w].recs.size(); ++r) {
-        SlotIn(locator_, logs_[w].recs[r].from) =
-            static_cast<std::int64_t>((w << 40) | r);
+      std::string description;
+      if (ordinal == 0) {
+        description = Format("operation of colour %d changed Φ of colour %d", exempt, c);
+      } else if (ordinal <= input_successors_) {
+        description = Format("input to unit %d visible to colour %d", unit, c);
+      } else {
+        description = Format("activity of unit %d visible to colour %d", unit, c);
       }
+      slot.fails.push_back({condition, c, 0, std::move(description)});
     }
-  }
 
-  // Guarantees an ExpandRec exists for `packed`: states drained by an early
-  // stop are expanded here, on the merge thread, record-only.
-  std::int64_t EnsureRecord(std::int32_t packed) {
-    std::int64_t loc = SlotIn(locator_, packed);
-    if (loc < 0) {
-      ExpandOne(packed, nullptr, 0);
-      const std::size_t w = static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex());
-      loc = static_cast<std::int64_t>((w << 40) | (logs_[w].recs.size() - 1));
-      SlotIn(locator_, packed) = loc;
-    }
-    return loc;
+    sc.ser.clear();
+    sys.AppendFullState(sc.ser);
+    slot.id = Intern(sc, sc.ser);
   }
 
   bool Done() const {
@@ -657,99 +516,69 @@ class ExhaustiveRun {
     }
   }
 
-  // Replays the serial level-synchronous BFS over the recorded successor
-  // lists, assigning canonical ids in the serial FIFO order and reproducing
-  // its exact merge semantics: kLevelChunk dispatch granularity (restores
-  // are counted per dispatched chunk), no early-stop inside one state's
-  // successor list except budget overflow, overflow checked before intern,
-  // per-level heartbeat with the canonical store size.
-  void ReplayExplore(std::int32_t initial_id) {
-    SlotIn(canon_of_, initial_id) = 0;
+  // The level-synchronous BFS. Canonical ids are assigned in FIFO order;
+  // the state budget is checked before a state is admitted; Done() is
+  // checked per state, never inside one state's successor list.
+  void Explore(std::int32_t initial_id) {
+    // Whether a packed id has a canonical id yet, per shard by shard-local
+    // id; grown lazily, since the store interns ahead of the merge.
+    std::array<std::vector<std::uint8_t>, kShardCount> admitted_by_shard;
+    auto admitted = [&](std::int32_t packed) -> std::uint8_t& {
+      std::vector<std::uint8_t>& shard = admitted_by_shard[ShardOfId(packed)];
+      const std::size_t local = LocalOfId(packed);
+      if (local >= shard.size()) {
+        shard.resize(local + 1, 0);
+      }
+      return shard[local];
+    };
+    admitted(initial_id) = 1;
     canon_to_packed_.push_back(initial_id);
-    frontier_.push_back(0);
-
+    std::vector<std::int32_t> frontier{initial_id};  // packed ids
     std::vector<std::int32_t> level;
-    while (!frontier_.empty() && !Done() && !overflowed_) {
-      level.swap(frontier_);
-      frontier_.clear();
+    std::size_t depth = 0;
+    bool overflowed = false;
+    while (!frontier.empty() && !Done() && !overflowed) {
+      level.swap(frontier);
+      frontier.clear();
 
       // One heartbeat per BFS level: tick carries the canonical store size
       // (states may exceed a Word), a0/a1 the saturated level width/depth.
       if (obs::Enabled()) {
         obs::Emit(obs::Category::kChecker, obs::Code::kHeartbeat, obs::kColourKernel,
-                  canon_to_packed_.size(), SaturateWord(level.size()), SaturateWord(depth_++));
+                  canon_to_packed_.size(), SaturateWord(level.size()), SaturateWord(depth++));
       }
 
-      for (std::size_t base = 0; base < level.size() && !Done() && !overflowed_;
+      for (std::size_t base = 0; base < level.size() && !Done() && !overflowed;
            base += kLevelChunk) {
         const std::size_t count = std::min(kLevelChunk, level.size() - base);
-        // The serial schedule expands the whole chunk before merging it.
-        sim_restores_ += count * (1 + fanout_);
-        for (std::size_t i = 0; i < count; ++i) {
-          EnsureRecord(canon_to_packed_[static_cast<std::size_t>(level[base + i])]);
-        }
-        for (std::size_t i = 0; i < count && !Done() && !overflowed_; ++i) {
-          const std::int64_t loc =
-              SlotIn(locator_, canon_to_packed_[static_cast<std::size_t>(level[base + i])]);
-          const WorkerLog& log = logs_[static_cast<std::size_t>(loc >> 40)];
-          const ExpandRec rec = log.recs[static_cast<std::size_t>(loc & ((1LL << 40) - 1))];
-          std::uint32_t fi = rec.fail_begin;
-          const std::uint32_t nsuccs = rec.succ_end - rec.succ_begin;
-          for (std::uint32_t ord = 0; ord < nsuccs; ++ord) {
+        const std::size_t tasks = count * fanout_;
+        pool_.ParallelFor(tasks, ThreadPool::AdaptiveGrain(tasks, pool_.size()),
+                          [&](std::size_t t) {
+                            ExpandSuccessor(level[base + t / fanout_], t % fanout_, slots_[t]);
+                          });
+        for (std::size_t i = 0; i < count && !Done() && !overflowed; ++i) {
+          for (std::size_t ord = 0; ord < fanout_; ++ord) {
+            const SuccessorSlot& slot = slots_[i * fanout_ + ord];
             ++report_.transitions;
-            // Splice in the checks: cond 2 for the operation successor,
-            // cond 4 otherwise, with the per-successor count the worker
-            // actually evaluated; recorded failures land at their ordinals.
-            const int cond = ord == 0 ? 2 : 4;
-            report_.conditions[static_cast<std::size_t>(cond)].checks +=
-                log.succ_checks[rec.succ_begin + ord];
-            while (fi < rec.fail_end && log.fails[fi].ordinal == ord) {
-              CountViolation(log.fails[fi].condition, log.fails[fi].colour,
-                             log.fails[fi].description);
-              ++fi;
+            report_.conditions[ord == 0 ? 2 : 4].checks += slot.checks;
+            for (const Violation& v : slot.fails) {
+              CountViolation(v.condition, v.colour, v.description);
             }
-            const std::int32_t sp = log.succs[rec.succ_begin + ord];
-            std::int64_t& canon = SlotIn(canon_of_, sp);
-            if (canon < 0) {
+            std::uint8_t& is_admitted = admitted(slot.id);
+            if (is_admitted == 0) {
               if (canon_to_packed_.size() >= options_.max_states) {
-                overflowed_ = true;
+                overflowed = true;
                 break;
               }
-              canon = static_cast<std::int64_t>(canon_to_packed_.size());
-              canon_to_packed_.push_back(sp);
-              frontier_.push_back(static_cast<std::int32_t>(canon));
+              is_admitted = 1;
+              canon_to_packed_.push_back(slot.id);
+              frontier.push_back(slot.id);
             }
           }
         }
       }
     }
-    report_.complete = frontier_.empty() && !overflowed_ && !Done();
-  }
-
-  // Re-interns only the canonical states, in canonical order, into a fresh
-  // store. Every vector's growth then depends on the canonical sequence
-  // alone, so bytes() matches what the serial schedule's store reports.
-  void RebuildStore() {
-    auto rebuilt = std::make_unique<ShardedStateStore>();
-    std::vector<std::uint32_t> refs;
-    std::vector<std::uint32_t> new_refs;
-    std::vector<Word> key;
-    for (std::int32_t& packed : canon_to_packed_) {
-      store_->MaterializeState(packed, refs, key);
-      new_refs.clear();
-      for (std::size_t base = 0; base < key.size(); base += kChunkWords) {
-        const std::size_t n = std::min(kChunkWords, key.size() - base);
-        new_refs.push_back(rebuilt->InternChunk(HashWords(key.data() + base, n), key.data() + base, n));
-      }
-      const ShardedStateStore::InternedState interned = rebuilt->InternState(
-          HashWords(key.data(), key.size()), new_refs.data(), new_refs.size(), key.size());
-      SEP_CHECK(interned.fresh);
-      packed = interned.id;
-    }
-    store_ = std::move(rebuilt);
-    // Worker chunk caches hold refs into the dropped store; nothing interns
-    // chunks after this point (the signature pass only materializes), so
-    // they are never consulted again.
+    report_.complete = frontier.empty() && !overflowed && !Done();
   }
 
   // --- pair phase: per-state effect signatures ---
@@ -787,30 +616,29 @@ class ExhaustiveRun {
       pool_.ParallelFor(n, ThreadPool::AdaptiveGrain(n, pool_.size()), [&](std::size_t i) {
         Scratch& sc = ScratchHere();
         store_->MaterializeState(canon_to_packed_[i], sc.refs, sc.key);
-        Restore(*sc.base, sc.key, sc);
-        state_colours[i] = static_cast<std::int8_t>(sc.base->Colour());
+        Restore(*sc.sys, sc.key, sc);
+        state_colours[i] = static_cast<std::int8_t>(sc.sys->Colour());
         phis[i].clear();
-        sc.base->AppendAbstract(c, phis[i]);
+        sc.sys->AppendAbstract(c, phis[i]);
         std::vector<Word>* effect = &effects[i * stride];
         if (state_colours[i] == c) {
-          next_ops[i] = sc.base->NextOperation();
-          sc.base->ExecuteOperation();
-          sc.base->AppendAbstract(c, *effect);
+          next_ops[i] = sc.sys->NextOperation();
+          sc.sys->ExecuteOperation();
+          sc.sys->AppendAbstract(c, *effect);
         }
         ++effect;
         for (const int unit : units_of_colour) {
           for (std::size_t value = 1; value <= inputs; ++value) {
-            Restore(*sc.base, sc.key, sc);
-            sc.base->InjectInput(unit, static_cast<Word>(value));
-            sc.base->AppendAbstract(c, *effect++);
+            Restore(*sc.sys, sc.key, sc);
+            sc.sys->InjectInput(unit, static_cast<Word>(value));
+            sc.sys->AppendAbstract(c, *effect++);
           }
-          Restore(*sc.base, sc.key, sc);
-          sc.base->StepUnit(unit);
-          sc.base->AppendAbstract(c, *effect++);
-          *effect++ = sc.base->DrainOutput(unit);
+          Restore(*sc.sys, sc.key, sc);
+          sc.sys->StepUnit(unit);
+          sc.sys->AppendAbstract(c, *effect++);
+          *effect++ = sc.sys->DrainOutput(unit);
         }
       });
-      sim_restores_ += n * (1 + units_of_colour.size() * (inputs + 1));
 
       for (std::size_t i = 0; i < n; ++i) {
         order[i] = static_cast<int>(i);
@@ -887,21 +715,13 @@ class ExhaustiveRun {
   std::unique_ptr<ShardedStateStore> store_;
   int colours_ = 0;
   int units_ = 0;
+  std::size_t input_successors_ = 0;  // successors 1..input_successors_ inject inputs
   std::size_t fanout_ = 0;
   ThreadPool pool_;
   std::vector<Scratch> scratch_;
-  std::vector<WorkerLog> logs_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> fail_count_{0};
+  std::vector<SuccessorSlot> slots_;  // one chunk's tasks, state-major
 
-  // Merge-thread-only canonical state.
-  std::array<std::vector<std::int64_t>, kShardCount> canon_of_;   // packed -> canon id
-  std::array<std::vector<std::int64_t>, kShardCount> locator_;    // packed -> (worker, rec)
-  std::vector<std::int32_t> canon_to_packed_;                     // canon id -> packed
-  std::vector<std::int32_t> frontier_;                            // canon ids
-  std::size_t depth_ = 0;           // BFS levels completed (heartbeat)
-  std::uint64_t sim_restores_ = 0;  // deterministic restore count (see top)
-  bool overflowed_ = false;
+  std::vector<std::int32_t> canon_to_packed_;  // canonical id -> packed id (merge thread)
   ExhaustiveReport report_;
 };
 

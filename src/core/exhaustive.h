@@ -49,15 +49,12 @@ struct ExhaustiveOptions {
   std::size_t max_pairs_per_group = 4096;
   int max_violations = 16;
   // Worker threads for frontier expansion and the per-state signature pass
-  // (0 = all hardware threads). Expansion runs on a work-stealing frontier
-  // with a sharded concurrent store; the report is nonetheless
-  // byte-identical for every thread count: workers record pure per-state
-  // outcomes and a canonical replay renumbers states and reproduces the
-  // serial schedule exactly (see docs/PERFORMANCE.md §6).
+  // (0 = all hardware threads). Each BFS chunk is expanded by one parallel
+  // loop over its (state, successor) pairs into a sharded concurrent store,
+  // and the calling thread merges the results in serial order, so the
+  // report is byte-identical for every thread count (docs/PERFORMANCE.md
+  // §6).
   int threads = 1;
-  // Perturbs the steal-victim order (not the workload). Any seed must yield
-  // a byte-identical report; the schedule-perturbation tests sweep this.
-  std::uint64_t steal_seed = 0;
 };
 
 struct ExhaustiveReport {
@@ -71,22 +68,19 @@ struct ExhaustiveReport {
   // tables and hash indexes) at the end of the run — the checker keeps no
   // live machine per state, so this is the scaling-relevant number.
   std::size_t peak_state_bytes = 0;
-  // RestoreFullState calls, deterministic for a given system and options
-  // regardless of thread count or steal schedule. Exploration counts those
-  // of the SERIAL-EQUIVALENT schedule (the canonical replay reconstructs how
-  // many restores the serial dispatch order performs); the pair phase counts
-  // the restores it makes, a fixed 1 + u_c × (inputs_per_unit + 1) per
-  // state for each colour c it reaches, where u_c is the number of colour-c
-  // units. Actual per-worker restore counts (which include stealing
-  // overshoot on truncated runs) are exported as
-  // `exhaustive.workerN.restores` gauges instead.
+  // RestoreFullState calls made, the same at every thread count:
+  // exploration restores once per successor of every state it expands (the
+  // operation, each input into each unit, each unit's activity); the pair
+  // phase 1 + u_c × (inputs_per_unit + 1) times per state for each colour c
+  // it reaches, where u_c is the number of colour-c units. The per-worker
+  // split is exported as `exhaustive.workerN.restores` gauges.
   std::uint64_t restore_count = 0;
-  // Exploration-balance diagnostics (schedule-dependent by nature; compare
-  // them across runs only qualitatively). Also exported as gauges so
-  // `sep_trace --format metrics` shows them.
-  std::uint64_t steal_count = 0;          // successful deque steals (exploration)
-  std::size_t shard_max_load = 0;         // most populated state shard
-  std::vector<std::uint64_t> worker_expanded;  // stealing-phase expansions per worker
+  // Always 0. Exploration no longer steals work; the field stays because
+  // the benchmark's verify workload (perfbench/src/verify.cpp) still sums it.
+  std::uint64_t steal_count = 0;
+  // Most populated state shard (store balance). Also exported as a gauge so
+  // `sep_trace --format metrics` shows it.
+  std::size_t shard_max_load = 0;
 
   bool Passed() const { return violations.empty(); }
   std::string Summary() const;

@@ -6,6 +6,12 @@ namespace sep {
 
 namespace {
 
+// Arithmetic wraps modulo 2^64 instead of overflowing: programs are
+// untrusted input, and signed overflow is undefined behaviour. Unsigned
+// arithmetic wraps by definition and the conversion back is modular.
+std::int64_t Wrap(std::uint64_t value) { return static_cast<std::int64_t>(value); }
+std::uint64_t Unsigned(std::int64_t value) { return static_cast<std::uint64_t>(value); }
+
 class Interp {
  public:
   Interp(const Program& program, SimplEnv env, const InterpOptions& options)
@@ -33,7 +39,8 @@ class Interp {
         if (!v.ok()) {
           return v;
         }
-        return expr.un_op == UnOp::kNeg ? -*v : static_cast<std::int64_t>(*v == 0);
+        return expr.un_op == UnOp::kNeg ? Wrap(0 - Unsigned(*v))
+                                        : static_cast<std::int64_t>(*v == 0);
       }
       case Expr::Kind::kBinary: {
         Result<std::int64_t> l = Eval(*expr.lhs);
@@ -46,21 +53,22 @@ class Interp {
         }
         switch (expr.bin_op) {
           case BinOp::kAdd:
-            return *l + *r;
+            return Wrap(Unsigned(*l) + Unsigned(*r));
           case BinOp::kSub:
-            return *l - *r;
+            return Wrap(Unsigned(*l) - Unsigned(*r));
           case BinOp::kMul:
-            return *l * *r;
+            return Wrap(Unsigned(*l) * Unsigned(*r));
           case BinOp::kDiv:
             if (*r == 0) {
               return Err(Format("line %d: division by zero", expr.line));
             }
-            return *l / *r;
+            // INT64_MIN / -1 overflows; like negation it wraps to INT64_MIN.
+            return *r == -1 ? Wrap(0 - Unsigned(*l)) : *l / *r;
           case BinOp::kMod:
             if (*r == 0) {
               return Err(Format("line %d: modulo by zero", expr.line));
             }
-            return *l % *r;
+            return *r == -1 ? 0 : *l % *r;  // INT64_MIN % -1 is 0, not a trap
           case BinOp::kEq:
             return static_cast<std::int64_t>(*l == *r);
           case BinOp::kNe:

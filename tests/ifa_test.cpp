@@ -3,6 +3,9 @@
 // two-run test — and Proof of Separability on the real kernel — accept it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/ifa/analyzer.h"
 #include "src/ifa/interpreter.h"
 #include "src/ifa/kernel_programs.h"
@@ -87,6 +90,36 @@ TEST(SimplInterp, DivisionByZeroFaults) {
   auto p = MustParse("var x : LOW; x := 1 / x;");
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(RunSimpl(*p, {{"x", 0}}).ok());
+}
+
+TEST(SimplInterp, ArithmeticWrapsInsteadOfOverflowing) {
+  auto p = MustParse(R"(
+var big : LOW;
+var small : LOW;
+var sum : LOW;
+var diff : LOW;
+var prod : LOW;
+var neg : LOW;
+var quot : LOW;
+var rem : LOW;
+sum := big + 1;
+diff := small - 1;
+prod := big * 2;
+neg := -small;
+quot := small / -1;
+rem := small % -1;
+)");
+  ASSERT_NE(p, nullptr);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Result<SimplEnv> env = RunSimpl(*p, {{"big", kMax}, {"small", kMin}});
+  ASSERT_TRUE(env.ok()) << env.error();
+  EXPECT_EQ((*env)["sum"], kMin);
+  EXPECT_EQ((*env)["diff"], kMax);
+  EXPECT_EQ((*env)["prod"], -2);
+  EXPECT_EQ((*env)["neg"], kMin);
+  EXPECT_EQ((*env)["quot"], kMin);
+  EXPECT_EQ((*env)["rem"], 0);
 }
 
 TEST(SimplInterp, RunawayLoopBounded) {

@@ -295,8 +295,8 @@ int main(int argc, char** argv) {
   metrics["exhaustive_parallel_speedup"] = ex_parallel / ex_serial;
   metrics["exhaustive_kernelized_sps"] = ex_kernelized;
   metrics["exhaustive_steal_sps"] = ex_steal;
-  // Work-stealing frontier vs the serial schedule on the full kernelized
-  // exploration. On a >= 4-core host the design target is >= 2.5; on a
+  // All hardware threads vs one on the full kernelized exploration (the
+  // name predates the level-synchronous loop). On a >= 4-core host the design target is >= 2.5; on a
   // single-core host the honest value is <= 1 and the guard is skipped
   // with a printed note (see parallel_guards below). BENCH_3..BENCH_7
   // baselines predate this metric and were recorded on 1-core hosts.

@@ -17,9 +17,9 @@
 // `--exhaustive N` runs the exhaustive separability checker (state budget
 // N, all hardware threads) on the built system before exporting, so
 // `--format metrics` includes the `exhaustive.*` gauges — states,
-// transitions, steal_count, shard_max_load and the per-worker
-// expansion/restore counters that show how evenly the work-stealing
-// frontier spread the exploration (docs/PERFORMANCE.md §6).
+// transitions, restore_count, shard_max_load and the per-worker restore
+// counters that show how evenly the pool shared the exploration
+// (docs/PERFORMANCE.md §6).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     }
     sep::ExhaustiveOptions options;
     options.max_states = exhaustive_states;
-    options.threads = 0;  // all hardware threads: exercise the stealing pool
+    options.threads = 0;  // all hardware threads: exercise the worker pool
     const sep::ExhaustiveReport report = sep::CheckSeparabilityExhaustive(**fresh, options);
     std::fprintf(stderr, "sep_trace: exhaustive: %s\n", report.Summary().c_str());
   }
